@@ -86,11 +86,18 @@ bench-report:
 
 verify: build lint test race trace-smoke chaos serve-smoke metrics-smoke
 
-# fuzz gives the heuristic-switch fuzzer a short budget; CI-style
-# smoke, not a soak. Override FUZZTIME for longer runs.
+# fuzz rotates every fuzz target through a short budget each: the
+# heuristic-switch parameters, fault schedules, the graph readers
+# (binary CSR and text edge lists), and the bitmap-delta codec.
+# CI-style smoke, not a soak. Override FUZZTIME for longer runs.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/bfs/ -fuzz FuzzHeuristicSwitch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph/ -fuzz '^FuzzReadFrom$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph/ -fuzz '^FuzzReadEdgeList$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bitmap/ -fuzz '^FuzzApplyDelta$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bitmap/ -fuzz '^FuzzDeltaRoundTrip$$' -fuzztime $(FUZZTIME)
 
 # fuzz-faults throws arbitrary fault schedules at the resilient
 # executor: every outcome must be a validated traversal or a typed

@@ -76,6 +76,34 @@ func (s *sloSpecs) Set(v string) error {
 	return nil
 }
 
+// Connection limits: a client that trickles its headers, stalls on its
+// body, or parks an idle keep-alive connection is cut off instead of
+// holding a connection and its goroutine forever.
+const (
+	readHeaderTimeout  = 5 * time.Second
+	requestReadTimeout = 10 * time.Second // one request's body, once its headers are in
+	idleTimeout        = 2 * time.Minute
+	maxHeaderBytes     = 64 << 10
+)
+
+// newHTTPServer wraps the serving handler with the connection limits.
+// net/http keeps the whole-request read deadline armed while the
+// handler runs and cancels the request's context when it expires, so
+// ReadTimeout also covers the longest query the daemon admits:
+// maxDeadline (serve.DefaultMaxDeadline when unset).
+func newHTTPServer(h http.Handler, maxDeadline time.Duration) *http.Server {
+	if maxDeadline <= 0 {
+		maxDeadline = serve.DefaultMaxDeadline
+	}
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readHeaderTimeout + requestReadTimeout + maxDeadline,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // config carries every bfsd knob so tests can drive run() without a
 // flag set or a real signal.
 type config struct {
@@ -235,7 +263,7 @@ func run(ctx context.Context, cfg *config, stderr *os.File) error {
 		return fmt.Errorf("listening on %s: %w", cfg.listen, err)
 	}
 	addr := ln.Addr().String()
-	hs := &http.Server{Handler: core.Handler()}
+	hs := newHTTPServer(core.Handler(), cfg.maxDeadline)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 

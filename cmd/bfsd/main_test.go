@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -229,5 +231,54 @@ func TestRealMainBadFlags(t *testing.T) {
 func TestLoadGraphRejectsEmptyRMATFields(t *testing.T) {
 	if _, err := loadGraph(fmt.Sprintf("rmat:%d:8", -1)); err == nil {
 		t.Error("negative scale accepted")
+	}
+}
+
+// TestSlowClientDisconnected pins the slow-header defence: a client
+// that stalls mid-header is cut off once readHeaderTimeout passes, and
+// the connection's goroutine exits with it.
+func TestSlowClientDisconnected(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	}), 0)
+	done := make(chan error, 1)
+	go func() { done <- hs.Serve(ln) }()
+	defer func() {
+		hs.Close()
+		<-done
+	}()
+	base := runtime.NumGoroutine()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: bfsd\r\nX-Stalled: "); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// The server answers nothing and closes: EOF, not our own deadline.
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client not disconnected: %v", err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout-100*time.Millisecond {
+		t.Errorf("disconnected after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+	conn.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after disconnect, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -24,8 +24,8 @@ func TestMultiCrossValidate(t *testing.T) {
 	if (MultiCross{Host: cpu, Coprocessors: []archsim.Arch{mic}, M1: 0, N1: 1, M2: 1, N2: 1}).Validate() == nil {
 		t.Error("zero threshold accepted")
 	}
-	if _, err := SimulateMulti(&bfs.Trace{}, MultiCross{Host: cpu}, archsim.PCIe()); err == nil {
-		t.Error("SimulateMulti accepted invalid plan")
+	if _, err := Price(&bfs.Trace{}, MultiCross{Host: cpu}, PriceOptions{Link: archsim.PCIe()}); err == nil {
+		t.Error("Price accepted invalid multi-cross plan")
 	}
 }
 
@@ -53,10 +53,10 @@ func TestSimulateMultiSingleMatchesCross(t *testing.T) {
 	tr := testTrace(t, 12, 16, 1)
 	cpu, gpu := archsim.SandyBridge(), archsim.KeplerK20x()
 	link := archsim.PCIe()
-	multi, err := SimulateMulti(tr, MultiCross{
+	multi, err := Price(tr, MultiCross{
 		Host: cpu, Coprocessors: []archsim.Arch{gpu},
 		M1: 64, N1: 64, M2: 64, N2: 64,
-	}, link)
+	}, PriceOptions{Link: link})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +79,9 @@ func TestSimulateMultiMICScaling(t *testing.T) {
 		for i := range cops {
 			cops[i] = mic
 		}
-		timing, err := SimulateMulti(tr, MultiCross{
+		timing, err := Price(tr, MultiCross{
 			Host: cpu, Coprocessors: cops, M1: 64, N1: 64, M2: 64, N2: 64,
-		}, link)
+		}, PriceOptions{Link: link})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,20 +98,20 @@ func TestSimulateMultiMICScaling(t *testing.T) {
 func TestSimulateMultiTransfersAccounted(t *testing.T) {
 	tr := testTrace(t, 13, 16, 2)
 	cpu, mic := archsim.SandyBridge(), archsim.KnightsCorner()
-	timing, err := SimulateMulti(tr, MultiCross{
+	timing, err := Price(tr, MultiCross{
 		Host: cpu, Coprocessors: []archsim.Arch{mic, mic},
 		M1: 64, N1: 64, M2: 64, N2: 64,
-	}, archsim.PCIe())
+	}, PriceOptions{Link: archsim.PCIe()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if timing.Transfers <= 0 {
 		t.Error("no transfer time accounted for broadcast + all-reduce")
 	}
-	free, err := SimulateMulti(tr, MultiCross{
+	free, err := Price(tr, MultiCross{
 		Host: cpu, Coprocessors: []archsim.Arch{mic, mic},
 		M1: 64, N1: 64, M2: 64, N2: 64,
-	}, archsim.SameDevice())
+	}, PriceOptions{Link: archsim.SameDevice()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,17 @@ import (
 	"testing"
 
 	"crossbfs/internal/archsim"
+	"crossbfs/internal/bfs"
 )
+
+func priceLazy(t *testing.T, tr *bfs.Trace, plan Plan, link archsim.Link) *Timing {
+	t.Helper()
+	timing, err := Price(tr, plan, PriceOptions{Link: link, Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return timing
+}
 
 func TestSimulateLazyNeverSlower(t *testing.T) {
 	tr := testTrace(t, 13, 16, 1)
@@ -16,7 +26,7 @@ func TestSimulateLazyNeverSlower(t *testing.T) {
 		Combination(cpu, 64, 64),
 	} {
 		eager := Simulate(tr, plan, link)
-		lazy := SimulateLazy(tr, plan, link)
+		lazy := priceLazy(t, tr, plan, link)
 		if lazy.Total > eager.Total+1e-12 {
 			t.Errorf("%s: lazy %g slower than eager %g", plan.Name(), lazy.Total, eager.Total)
 		}
@@ -31,7 +41,7 @@ func TestSimulateLazyHidesPredecessorStream(t *testing.T) {
 	slow := archsim.Link{BandwidthGBs: 0.5, LatencySeconds: 15e-6} // stress the link
 	plan := CrossPlan{Host: cpu, Coprocessor: gpu, M1: 10, N1: 10, M2: 64, N2: 64}
 	eager := Simulate(tr, plan, slow)
-	lazy := SimulateLazy(tr, plan, slow)
+	lazy := priceLazy(t, tr, plan, slow)
 	if eager.Transfers == 0 {
 		t.Skip("plan never crossed; nothing to hide")
 	}
@@ -45,7 +55,7 @@ func TestSimulateLazySingleArchIdentical(t *testing.T) {
 	tr := testTrace(t, 12, 8, 3)
 	plan := Combination(archsim.KnightsCorner(), 64, 64)
 	eager := Simulate(tr, plan, archsim.PCIe())
-	lazy := SimulateLazy(tr, plan, archsim.PCIe())
+	lazy := priceLazy(t, tr, plan, archsim.PCIe())
 	if lazy.Total != eager.Total {
 		t.Errorf("single-arch lazy %g != eager %g", lazy.Total, eager.Total)
 	}

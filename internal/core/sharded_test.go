@@ -50,7 +50,7 @@ func TestExecuteShardedPrices(t *testing.T) {
 	g, src := testGraph(t, 10, 8, 11)
 	for _, ranks := range []int{1, 4} {
 		plan := testShardedPlan(ranks)
-		res, timing, err := ExecuteSharded(context.Background(), g, src, plan, nil, nil)
+		res, timing, err := ExecuteSharded(context.Background(), g, src, plan, ExecOptions{})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}
@@ -85,7 +85,7 @@ func TestExecuteShardedPrices(t *testing.T) {
 // of the same depth.
 func TestSimulateShardedRejectsMismatch(t *testing.T) {
 	tr := testTrace(t, 9, 8, 3)
-	if _, err := SimulateSharded(tr, nil, testShardedPlan(2)); err == nil {
+	if _, err := Price(tr, testShardedPlan(2), PriceOptions{}); err == nil {
 		t.Error("empty exchange records accepted for a multi-step trace")
 	}
 }
@@ -98,7 +98,7 @@ func TestShardedCommunicationGrowsWithRanks(t *testing.T) {
 	g, src := testGraph(t, 11, 8, 7)
 	var prevTransfers, prevKernel float64
 	for i, ranks := range []int{2, 4, 8} {
-		_, timing, err := ExecuteSharded(context.Background(), g, src, testShardedPlan(ranks), nil, nil)
+		_, timing, err := ExecuteSharded(context.Background(), g, src, testShardedPlan(ranks), ExecOptions{})
 		if err != nil {
 			t.Fatalf("ranks=%d: %v", ranks, err)
 		}

@@ -70,7 +70,7 @@ func FaultTolerance(ctx context.Context, cfg Config, spec string, seed uint64) (
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", s, err)
 		}
-		t, err := core.SimulateResilient(tr, cross, cfg.Link, core.ResilientOptions{Schedule: sched})
+		t, err := core.Price(tr, cross, core.PriceOptions{Link: cfg.Link, Schedule: sched})
 		if err != nil {
 			var fe *fault.Error
 			if !errors.As(err, &fe) {

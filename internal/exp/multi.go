@@ -57,10 +57,10 @@ func MultiCoprocessorScaling(cfg Config, kind archsim.Kind, maxK int) ([]MultiCo
 		// to the coprocessors — the phase partitioning accelerates.
 		// With launch-bound mid levels (small default scales) the
 		// sweep otherwise measures only per-device launch overhead.
-		timing, err := core.SimulateMulti(tr, core.MultiCross{
+		timing, err := core.Price(tr, core.MultiCross{
 			Host: cpu, Coprocessors: cops,
 			M1: boundary.M1, N1: boundary.N1, M2: 300, N2: 300,
-		}, cfg.Link)
+		}, core.PriceOptions{Link: cfg.Link})
 		if err != nil {
 			return nil, err
 		}

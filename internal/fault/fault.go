@@ -18,7 +18,7 @@
 //
 // Fault handling is observable: every fault the executor survives is
 // recorded both in the returned Timing's fault log and — when a
-// telemetry recorder is attached (core.ResilientOptions.Recorder) —
+// telemetry recorder is attached (core.PriceOptions.Recorder) —
 // as retry/replan/fault events on the faulting device's timeline, so
 // a Chrome trace of a degraded run shows where the ladder acted. The
 // Device strings in schedules match the same archsim.Arch.Name keys

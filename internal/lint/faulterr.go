@@ -12,11 +12,12 @@ import (
 // kinds: *fault.Error for modeled faults, *bfs.PanicError for contained
 // kernel panics, context.Canceled/DeadlineExceeded for cancellation.
 // An untyped fmt.Errorf leaking across the api.go boundary or out of
-// the resilient executor forces callers back to string matching.
+// the executors and the pricing loop forces callers back to string
+// matching.
 //
 // Boundary roots are: exported functions of the root crossbfs package,
-// the resilient executor entry points (ExecuteResilient,
-// SimulateResilient), and anything annotated //lint:boundary. The
+// the executor and pricing entry points (Price, Execute,
+// ExecuteSharded), and anything annotated //lint:boundary. The
 // check closes over the package call graph — a helper four calls below
 // an exported function still feeds its return value to the caller —
 // and flags return statements that hand back a bare errors.New(...) or
@@ -29,7 +30,7 @@ import (
 var FaultErr = &Analyzer{
 	Name: "faulterr",
 	Doc: "flags untyped errors (bare errors.New, fmt.Errorf without %w) returned across " +
-		"the api.go boundary or from the resilient executor; wrap *fault.Error, *PanicError, " +
+		"the api.go boundary or from the executors and Price; wrap *fault.Error, *PanicError, " +
 		"or context errors instead; suppress with //lint:fault-ok",
 	Run: runFaultErr,
 }
@@ -41,10 +42,9 @@ const boundaryPkgPath = "crossbfs"
 // boundaryNames are executor entry points that are boundaries in any
 // package.
 var boundaryNames = map[string]bool{
-	"ExecuteResilient":         true,
-	"SimulateResilient":        true,
-	"ExecuteShardedResilient":  true,
-	"SimulateShardedResilient": true,
+	"Price":          true,
+	"Execute":        true,
+	"ExecuteSharded": true,
 }
 
 func runFaultErr(pass *Pass) error {
@@ -64,7 +64,7 @@ func runFaultErr(pass *Pass) error {
 	}
 	for _, node := range g.Nodes {
 		if node.Decl != nil && boundaryNames[node.Decl.Name.Name] {
-			roots = append(roots, root{node, "resilient executor " + node.Name})
+			roots = append(roots, root{node, "executor " + node.Name})
 		}
 	}
 	for fn := range funcMarkers(pass, markerBoundary) {

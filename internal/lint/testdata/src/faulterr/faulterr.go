@@ -55,27 +55,27 @@ func coldHelper() error {
 	return errors.New("scratch state invalid") // not flagged
 }
 
-// ExecuteResilient is a boundary by name, matching the resilient
-// executor entry point.
-func ExecuteResilient(n int) error {
+// Execute is a boundary by name, matching the plan executor entry
+// point.
+func Execute(n int) error {
 	if n == 0 {
 		return &FaultError{Device: "cpu", Step: 0, Reason: "crash"} // typed: not flagged
 	}
 	return fmt.Errorf("resilient replay diverged at step %d", n) // want `fmt.Errorf without %w crosses the error boundary`
 }
 
-// ExecuteShardedResilient is a boundary by name, matching the sharded
-// resilient executor entry point.
-func ExecuteShardedResilient(n int) error {
+// ExecuteSharded is a boundary by name, matching the sharded executor
+// entry point.
+func ExecuteSharded(n int) error {
 	if n < 0 {
-		return errors.New("no surviving rank") // want `untyped errors.New crosses the error boundary \(API boundary ExecuteShardedResilient\)`
+		return errors.New("no surviving rank") // want `untyped errors.New crosses the error boundary \(API boundary ExecuteSharded\)`
 	}
 	return shardedHelper(n)
 }
 
-// SimulateShardedResilient is a boundary by name; its reachable helper
-// surfaces untyped errors at the boundary.
-func SimulateShardedResilient(n int) error {
+// Price is a boundary by name, matching the pricing entry point; its
+// reachable helper surfaces untyped errors at the boundary.
+func Price(n int) error {
 	return shardedHelper(n)
 }
 
