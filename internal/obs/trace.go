@@ -314,7 +314,9 @@ func (t *laneState) planLabel(id uint64) string {
 
 // wallTS converts a wall instant to trace microseconds, latching the
 // epoch on first use. Zero instants (events from emitters that had no
-// clock in hand) map to the epoch.
+// clock in hand) map to the epoch, and so do instants before it:
+// concurrent emitters can deliver an event stamped just before the one
+// that latched the epoch, and a trace timestamp may not be negative.
 func (t *laneState) wallTS(w time.Time) float64 {
 	if w.IsZero() {
 		return 0
@@ -322,7 +324,7 @@ func (t *laneState) wallTS(w time.Time) float64 {
 	if !t.haveEpoch {
 		t.epoch, t.haveEpoch = w, true
 	}
-	return float64(w.Sub(t.epoch)) / float64(time.Microsecond)
+	return max(0, float64(w.Sub(t.epoch))/float64(time.Microsecond))
 }
 
 // pid returns the lane for a device name, registering it (plus its

@@ -253,3 +253,20 @@ func TestValidateTraceRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceWriterEventBeforeEpoch pins the concurrent-emitter case: an
+// event stamped just before the one that latched the wall epoch still
+// encodes a valid, non-negative timestamp.
+func TestTraceWriterEventBeforeEpoch(t *testing.T) {
+	var buf bytes.Buffer
+	tw := NewTraceWriter(&buf)
+	now := time.Now()
+	tw.Event(Event{Kind: KindRootDispatch, TraversalID: 1, Dir: DirNone, Wall: now})
+	tw.Event(Event{Kind: KindRootDispatch, TraversalID: 2, Index: 1, Dir: DirNone, Wall: now.Add(-time.Millisecond)})
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateTrace(buf.Bytes()); err != nil {
+		t.Errorf("trace with an event before the epoch is invalid: %v", err)
+	}
+}

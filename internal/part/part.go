@@ -50,10 +50,12 @@ func (l *Layout) Range(r int) (lo, hi int32) {
 
 // WordRange returns rank r's owned range in 64-bit bitmap words
 // [loWord, hiWord). Because interior boundaries are 64-aligned, word
-// ranges of distinct ranks are disjoint.
+// ranges of distinct ranks are disjoint. Both ends round up: the only
+// unaligned start is an empty trailing shard's at |V|, which must own
+// no word rather than the final non-empty shard's last one.
 func (l *Layout) WordRange(r int) (loWord, hiWord int) {
 	lo, hi := l.Range(r)
-	return int(lo) / align, (int(hi) + align - 1) / align
+	return (int(lo) + align - 1) / align, (int(hi) + align - 1) / align
 }
 
 // Owner returns the rank owning vertex v, by binary search over the

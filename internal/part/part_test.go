@@ -88,20 +88,38 @@ func TestPartitionEdgeBalance(t *testing.T) {
 }
 
 func TestWordRangesDisjoint(t *testing.T) {
-	g := rmatGraph(t, 10, 8, 2)
-	for _, ranks := range []int{2, 3, 7} {
-		p, err := Partition(g, ranks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prevHi := 0
-		for r := 0; r < ranks; r++ {
-			lo, hi := p.Layout.WordRange(r)
-			if lo < prevHi {
-				t.Fatalf("ranks=%d: rank %d word range [%d,%d) overlaps previous end %d", ranks, r, lo, hi, prevHi)
+	// A 300-vertex path at 8 ranks leaves empty trailing shards at the
+	// unaligned |V|, inside the final non-empty shard's last word.
+	var edges []graph.Edge
+	for v := int32(0); v+1 < 300; v++ {
+		edges = append(edges, graph.Edge{From: v, To: v + 1})
+	}
+	path, err := graph.Build(300, edges, graph.BuildOptions{Symmetrize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		g     *graph.CSR
+		ranks []int
+	}{{rmatGraph(t, 10, 8, 2), []int{2, 3, 7}}, {path, []int{8}}} {
+		for _, ranks := range c.ranks {
+			p, err := Partition(c.g, ranks)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if hi > lo {
-				prevHi = hi
+			prevHi := 0
+			for r := 0; r < ranks; r++ {
+				lo, hi := p.Layout.WordRange(r)
+				if vlo, vhi := p.Layout.Range(r); vlo == vhi && hi != lo {
+					t.Fatalf("|V|=%d ranks=%d: empty rank %d owns words [%d,%d)", c.g.NumVertices(), ranks, r, lo, hi)
+				}
+				if hi > lo && lo < prevHi {
+					t.Fatalf("|V|=%d ranks=%d: rank %d word range [%d,%d) overlaps previous end %d",
+						c.g.NumVertices(), ranks, r, lo, hi, prevHi)
+				}
+				if hi > lo {
+					prevHi = hi
+				}
 			}
 		}
 	}
