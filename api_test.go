@@ -1,6 +1,7 @@
 package crossbfs
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 )
@@ -103,6 +104,38 @@ func TestBenchmarkTEPSFacade(t *testing.T) {
 	}
 	if rep.NumRoots != 4 || rep.GTEPS() <= 0 {
 		t.Errorf("report: %+v", rep)
+	}
+}
+
+// A ShardedPlan is a Plan, but pricing it needs the partitioned
+// engine's exchange volumes, which a bare trace lacks: the trace-only
+// entry points must report that as an error, never a nil Timing.
+func TestShardedPlanNeedsExchanges(t *testing.T) {
+	g, err := GenerateRMAT(10, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := ShardedPlan{Device: CPU(), Ranks: 2, Fabric: EthernetFabric(2), M: 14, N: 24}
+	src := firstSource(t, g)
+	if timing, err := Simulate(g, src, plan); err == nil {
+		t.Errorf("Simulate = %+v, nil; want an error", timing)
+	}
+	if rep, err := BenchmarkTEPS(g, plan, 2); err == nil {
+		t.Errorf("BenchmarkTEPS = %+v, nil; want an error", rep)
+	}
+	res, err := BFS(g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ComputeTrace(g, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if timing := SimulateTrace(tr, plan, PCIe()); timing != nil {
+		t.Errorf("SimulateTrace = %+v, want nil", timing)
+	}
+	if _, timing, err := SimulateSharded(context.Background(), g, src, plan); err != nil || timing == nil {
+		t.Errorf("SimulateSharded: timing %v, err %v", timing, err)
 	}
 }
 

@@ -90,7 +90,10 @@ func Run(g *graph.CSR, plan core.Plan, link archsim.Link, numRoots int, seed uin
 			if err != nil {
 				return err
 			}
-			timing := core.Simulate(tr, plan, link)
+			timing, err := core.Price(tr, plan, core.PriceOptions{Link: link})
+			if err != nil {
+				return err
+			}
 			// Indexed writes: the batch runner delivers each i exactly
 			// once, so concurrent callbacks never share a slot.
 			res.Times[i] = timing.Total //lint:shared-ok RunManyFunc delivers each index to exactly one callback
