@@ -294,10 +294,11 @@ func ExecuteShardedResilient(ctx context.Context, g *Graph, source int32, plan S
 
 // Telemetry surface. A Recorder receives one flat TelemetryEvent per
 // per-level/per-step occurrence from every engine, the simulator, the
-// resilient executor, and the RunMany dispatcher; Metrics aggregates
-// them into counters and histograms, and TraceWriter streams them as
-// Chrome trace-event JSON for chrome://tracing or Perfetto. See
-// OBSERVABILITY.md for the event taxonomy and the trace-file schema.
+// resilient executor, and the RunMany dispatcher; RegistryRecorder
+// aggregates them into labeled counters and histograms, and
+// TraceWriter streams them as Chrome trace-event JSON for
+// chrome://tracing or Perfetto. See OBSERVABILITY.md for the event
+// taxonomy and the trace-file schema.
 type (
 	// Recorder consumes telemetry events; implementations must be
 	// cheap and, when shared across traversals, concurrency-safe.
@@ -305,9 +306,6 @@ type (
 	// TelemetryEvent is the single flat event type all instrumentation
 	// emits.
 	TelemetryEvent = obs.Event
-	// Metrics aggregates events into atomic counters, gauges, and
-	// power-of-two histograms with expvar and HTTP endpoints.
-	Metrics = obs.Metrics
 	// TraceWriter encodes events as Chrome trace-event JSON.
 	TraceWriter = obs.TraceWriter
 	// StreamWriter is the serving-grade trace sink: same byte format as
@@ -341,7 +339,7 @@ type (
 	// Observe on a Cell are lock-free atomics.
 	MetricCell = obs.Cell
 	// RegistryRecorder aggregates telemetry events into a registry's
-	// dimensional families (the labeled twin of Metrics).
+	// dimensional families; it is the only metrics aggregator.
 	RegistryRecorder = obs.RegistryRecorder
 	// SLOObjective is one parsed declarative objective
 	// ("oltp p99 < 2ms over 5m", "error ratio < 0.1% over 30m").
@@ -366,9 +364,6 @@ type (
 // any observed entry point keeps the traversal on the zero-allocation
 // fast path, with all per-event work compiled out behind one branch.
 var NopRecorder = obs.Nop
-
-// NewMetrics returns an empty, concurrency-safe metrics aggregator.
-func NewMetrics() *Metrics { return obs.NewMetrics() }
 
 // NewTraceWriter returns a recorder that streams Chrome trace-event
 // JSON to w. Close flushes the file; the output is loadable in
@@ -404,7 +399,7 @@ func NewFlightRecorder(keep, maxEvents int) *FlightRecorder {
 }
 
 // MultiRecorder fans events out to several recorders in order — e.g.
-// one Metrics and one TraceWriter on the same run.
+// one RegistryRecorder and one TraceWriter on the same run.
 func MultiRecorder(recs ...Recorder) Recorder { return obs.Multi(recs...) }
 
 // ValidateTrace parses Chrome trace-event JSON (as produced by
@@ -420,8 +415,8 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewRegistryRecorder returns a Recorder that aggregates telemetry
 // events into reg's dimensional families, labeling each sample with
-// the given engine name. It is the labeled twin of NewMetrics and
-// shares its hot-path contract (atomic cells, no per-event
+// the given engine name. Every event kind lands in a series, and the
+// per-event path is atomic adds on pre-interned cells (no
 // allocation).
 func NewRegistryRecorder(reg *MetricsRegistry, engine string) *RegistryRecorder {
 	return obs.NewRegistryRecorder(reg, engine)

@@ -162,8 +162,8 @@ func TestRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading scraped metrics: %v", err)
 	}
-	if !bytes.Contains(mtext, []byte("crossbfs_serve_requests_total")) {
-		t.Error("scraped metrics misses serve counters")
+	if !bytes.Contains(mtext, []byte(`crossbfs_admission_outcomes_total{reason="ok"}`)) {
+		t.Error("scraped metrics misses the admission outcomes")
 	}
 
 	// -scrape-metrics also reconstructs the server-side view from the
@@ -264,10 +264,12 @@ crossbfs_query_latency_seconds_count{class="oltp",kind="reach"} 4
 	}
 }
 
-// TestServerQuantilesMissingFamily pins the error path: a legacy-only
-// page (no histogram family) must not crash the report.
+// TestServerQuantilesMissingFamily pins the error path: a page without
+// the latency histogram family must not crash the report.
 func TestServerQuantilesMissingFamily(t *testing.T) {
-	if _, err := serverQuantiles(strings.NewReader("crossbfs_serve_requests_total 7\n")); err == nil {
+	page := "# HELP crossbfs_admission_outcomes_total Outcomes.\n# TYPE crossbfs_admission_outcomes_total counter\n" +
+		"crossbfs_admission_outcomes_total{reason=\"ok\"} 7\n"
+	if _, err := serverQuantiles(strings.NewReader(page)); err == nil {
 		t.Error("page without the latency family accepted")
 	}
 }

@@ -10,12 +10,13 @@
 //	bfsrun -scale 17 -plan cputd+gpucb -faults 'crash:KeplerK20x@4' -timeout 30s
 //	bfsrun -scale 16 -plan cputd+gpucb -trace out.json   # open in ui.perfetto.dev
 //	bfsrun -scale 20 -plan all -trace-stream out.json -sample 8 -flightrec flight.json
-//	bfsrun -scale 20 -plan all -pprof localhost:6060 -cpuprofile cpu.pb.gz -metrics-out m.json
+//	bfsrun -scale 20 -plan all -pprof localhost:6060 -cpuprofile cpu.pb.gz -metrics-out m.txt
 package main
 
 import (
 	"context"
 	"errors"
+	_ "expvar" // registers /debug/vars on the default mux
 	"flag"
 	"fmt"
 	"net/http"
@@ -69,14 +70,15 @@ type config struct {
 	// backpressure instead of growing — the serving-grade sink.
 	traceStream string
 	// sampleK keeps 1-in-K traversals (whole) in the trace sinks; 0 or 1
-	// keeps everything. Metrics stay unsampled — counters are always-on.
+	// keeps everything. The metric families stay unsampled (always-on).
 	sampleK int
 	// flightRec retains the last few traversals in an in-memory ring and
 	// dumps them to this file at exit and on SIGQUIT.
 	flightRec string
-	// metricsOut writes the final counters as JSON to this file.
+	// metricsOut writes the final metric families to this file as
+	// Prometheus text exposition (expcheck accepts it).
 	metricsOut string
-	// metrics prints the aggregated telemetry counters after the run.
+	// metrics prints the same exposition page after the run.
 	metrics bool
 	// pprofAddr starts an HTTP server with /debug/pprof, /debug/vars,
 	// and /metrics while the run executes.
@@ -118,8 +120,8 @@ func main() {
 	flag.StringVar(&cfg.traceStream, "trace-stream", "", "write the trace through the bounded streaming sink (drops under backpressure)")
 	flag.IntVar(&cfg.sampleK, "sample", 0, "keep 1-in-K traversals (whole) in trace sinks; 0 keeps all")
 	flag.StringVar(&cfg.flightRec, "flightrec", "", "retain the last traversals in memory; dump to this file at exit and on SIGQUIT")
-	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "write final telemetry counters as JSON to this file")
-	flag.BoolVar(&cfg.metrics, "metrics", false, "print aggregated telemetry counters after the run")
+	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "write the final metric families to this file as Prometheus text exposition")
+	flag.BoolVar(&cfg.metrics, "metrics", false, "print the final metric families (Prometheus text exposition) after the run")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve /debug/pprof, /debug/vars, and /metrics on this address during the run")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.IntVar(&cfg.shards, "shards", 0, "also run the partitioned engine with this many ranks (0 = off)")
@@ -249,7 +251,7 @@ func run(ctx context.Context, cfg config) error {
 	}
 	if cfg.metrics {
 		fmt.Println()
-		if err := tel.metrics.WriteText(os.Stdout); err != nil {
+		if err := tel.metrics.WriteExposition(os.Stdout); err != nil {
 			return err
 		}
 	}
@@ -258,7 +260,7 @@ func run(ctx context.Context, cfg config) error {
 		if err != nil {
 			return err
 		}
-		werr := tel.metrics.WriteJSON(f)
+		werr := tel.metrics.WriteExposition(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -283,7 +285,7 @@ func run(ctx context.Context, cfg config) error {
 // profile) behind one Recorder and one teardown.
 type telemetry struct {
 	rec       obs.Recorder
-	metrics   *obs.Metrics
+	metrics   *obs.Registry
 	tw        *obs.TraceWriter
 	traceF    *os.File
 	stream    *obs.StreamWriter
@@ -294,9 +296,9 @@ type telemetry struct {
 	profF     *os.File
 }
 
-// serveOnce guards the process-global side effects of -pprof (expvar
-// publication and default-mux handlers register once per process), so
-// tests can drive run() repeatedly.
+// serveOnce guards the process-global side effect of -pprof (default-mux
+// handlers register once per process), so tests can drive run()
+// repeatedly.
 var serveOnce sync.Once
 
 func startTelemetry(cfg config) (*telemetry, error) {
@@ -351,16 +353,20 @@ func startTelemetry(cfg config) (*telemetry, error) {
 		recs = append(recs, traced)
 	}
 	if cfg.metrics || cfg.metricsOut != "" || cfg.pprofAddr != "" {
-		tel.metrics = obs.NewMetrics()
-		recs = append(recs, tel.metrics)
+		// One recorder labeled with the tool's name aggregates every
+		// engine the run drives: the reference traversal, the priced
+		// plans, and the sharded engine.
+		tel.metrics = obs.NewRegistry()
+		rr := obs.NewRegistryRecorder(tel.metrics, "bfsrun")
+		if cfg.shards > 0 {
+			rr.WithRanks(cfg.shards)
+		}
+		recs = append(recs, rr)
 	}
 	tel.rec = obs.Multi(recs...)
 	if cfg.pprofAddr != "" {
-		m := tel.metrics
-		serveOnce.Do(func() {
-			m.Publish("crossbfs")
-			http.Handle("/metrics", m.Handler())
-		})
+		reg := tel.metrics
+		serveOnce.Do(func() { http.Handle("/metrics", reg.Handler()) })
 		go func() {
 			// net/http/pprof registered /debug/pprof on the default mux.
 			if err := http.ListenAndServe(cfg.pprofAddr, nil); err != nil {

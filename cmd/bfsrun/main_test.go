@@ -1,8 +1,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -148,11 +148,12 @@ func TestRunFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestRunMetricsOut drives -metrics-out: a JSON counters file matching
-// the run, with the documented stable shape.
+// TestRunMetricsOut drives -metrics-out: a valid, fully typed
+// exposition page (what expcheck accepts) whose traversal, level and
+// sim_step series reflect the run.
 func TestRunMetricsOut(t *testing.T) {
 	c := cfg(10, "cputd+gpucb")
-	c.metricsOut = filepath.Join(t.TempDir(), "metrics.json")
+	c.metricsOut = filepath.Join(t.TempDir(), "metrics.txt")
 	if err := run(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +161,31 @@ func TestRunMetricsOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]int64
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatalf("-metrics-out is not a JSON object: %v\n%s", err, data)
+	st, err := obs.ValidateExposition(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("-metrics-out is not a valid exposition: %v\n%s", err, data)
 	}
-	if m["traversals_total"] < 1 || m["levels_total"] == 0 || m["sim_steps_total"] == 0 {
-		t.Errorf("counters don't reflect the run: %v", m)
+	if st.Typed != st.Families {
+		t.Errorf("%d of %d families untyped", st.Families-st.Typed, st.Families)
+	}
+	fams, err := obs.ParseExposition(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(name, kind string) float64 {
+		v := 0.0
+		for _, f := range fams {
+			for _, s := range f.Samples {
+				if s.Name == name && (kind == "" || s.Labels["kind"] == kind) {
+					v += s.Value
+				}
+			}
+		}
+		return v
+	}
+	if sum("crossbfs_engine_traversals_total", "") < 1 || sum("crossbfs_engine_levels_total", "") == 0 ||
+		sum("crossbfs_engine_events_total", "sim_step") == 0 {
+		t.Errorf("series don't reflect the run:\n%s", data)
 	}
 }
 

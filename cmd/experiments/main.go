@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	_ "expvar" // registers /debug/vars on the default mux
 	"flag"
 	"fmt"
 	"io"

@@ -28,7 +28,7 @@ type ManyOptions struct {
 	// the bracket and the traversal's events alike, so samplers and
 	// flight recorders (obs.Sampler, obs.Ring) see each root as one
 	// unit. One recorder instance is shared by all in-flight roots, so
-	// it must be safe for concurrent use — obs.Metrics, obs.TraceWriter,
+	// it must be safe for concurrent use — obs.RegistryRecorder, obs.TraceWriter,
 	// obs.StreamWriter, obs.Sampler, and obs.Ring all are. nil disables
 	// telemetry.
 	Recorder obs.Recorder

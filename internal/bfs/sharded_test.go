@@ -12,24 +12,16 @@ import (
 	"crossbfs/internal/obs"
 )
 
-// latticeGraph returns a side×side 4-neighbor grid — the high-diameter
+// latticeGraph returns graph.Lattice(side) — the high-diameter
 // counterpoint to R-MAT's low-diameter skew, exercising many levels
 // (and therefore many collective rounds) per traversal.
 func latticeGraph(t *testing.T, side int) *graph.CSR {
 	t.Helper()
-	var edges []graph.Edge
-	at := func(r, c int) int32 { return int32(r*side + c) }
-	for r := 0; r < side; r++ {
-		for c := 0; c < side; c++ {
-			if c+1 < side {
-				edges = append(edges, graph.Edge{From: at(r, c), To: at(r, c+1)})
-			}
-			if r+1 < side {
-				edges = append(edges, graph.Edge{From: at(r, c), To: at(r + 1, c)})
-			}
-		}
+	g, err := graph.Lattice(side)
+	if err != nil {
+		t.Fatalf("graph.Lattice: %v", err)
 	}
-	return mustBuild(t, side*side, edges)
+	return g
 }
 
 // shardedTestGraphs is the cross-family equivalence corpus: skewed

@@ -223,3 +223,36 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("offsets not starting at zero not caught")
 	}
 }
+
+// TestLattice pins the grid's shape: corner, border and interior
+// degrees, the undirected edge count, and the 2(side-1) diameter from
+// a corner.
+func TestLattice(t *testing.T) {
+	const side = 7
+	g, err := Lattice(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("lattice fails validation: %v", err)
+	}
+	if g.NumVertices() != side*side || g.NumEdges() != 2*2*side*(side-1) {
+		t.Fatalf("lattice has %d vertices, %d directed edges", g.NumVertices(), g.NumEdges())
+	}
+	for v, want := range map[int32]int64{0: 2, side - 1: 2, 3: 3, side + 1: 4, side*side - 1: 2} {
+		if d := g.Degree(v); d != want {
+			t.Errorf("degree(%d) = %d, want %d", v, d, want)
+		}
+	}
+	if !g.HasEdge(side+1, 2*side+1) || g.HasEdge(side-1, side) {
+		t.Error("lattice wires the wrong neighbours (row wrap or missing down edge)")
+	}
+	if ecc := g.Eccentricity(0); ecc != 2*(side-1) {
+		t.Errorf("corner eccentricity = %d, want %d", ecc, 2*(side-1))
+	}
+	for _, bad := range []int{0, -1, 1 << 16} {
+		if _, err := Lattice(bad); err == nil {
+			t.Errorf("Lattice(%d) accepted", bad)
+		}
+	}
+}

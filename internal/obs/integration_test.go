@@ -49,12 +49,12 @@ func TestRunManySharedRecorderTrace(t *testing.T) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	cap := &dirCapture{dirs: make(map[uint64][]obs.Direction), next: tw}
-	metrics := obs.NewMetrics()
+	reg := obs.NewRegistry()
 
 	results, err := bfs.RunMany(g, roots, bfs.ManyOptions{
 		Engine:      bfs.HybridEngine(bfs.DefaultM, bfs.DefaultN, 2),
 		Concurrency: 4,
-		Recorder:    obs.Multi(cap, metrics),
+		Recorder:    obs.Multi(cap, obs.NewRegistryRecorder(reg, "hybrid")),
 	})
 	if err != nil {
 		t.Fatalf("RunMany: %v", err)
@@ -80,8 +80,8 @@ func TestRunManySharedRecorderTrace(t *testing.T) {
 	if s.Levels != wantLevels {
 		t.Errorf("trace has %d level slices, results have %d levels", s.Levels, wantLevels)
 	}
-	if got := metrics.Snapshot()["levels_total"]; got != int64(wantLevels) {
-		t.Errorf("metrics counted %d levels, results have %d", got, wantLevels)
+	if got := obs.SeriesSum(t, reg, "crossbfs_engine_levels_total", nil); got != float64(wantLevels) {
+		t.Errorf("registry counted %v levels, results have %d", got, wantLevels)
 	}
 
 	// Every traversal lane in the trace must replay one root's exact
@@ -258,10 +258,10 @@ func TestRunManyFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshotMidRunMany scrapes Snapshot repeatedly WHILE a
-// RunMany batch is recording into the same Metrics: every snapshot
-// must be internally sane (monotonic counters, no torn negative
-// values), and the final state must agree with the results.
+// TestMetricsSnapshotMidRunMany scrapes the registry repeatedly WHILE
+// a RunMany batch is recording into it: every page must be internally
+// sane (monotonic counters, no torn negative values), and the final
+// state must agree with the results.
 func TestMetricsSnapshotMidRunMany(t *testing.T) {
 	p := rmat.DefaultParams(12, 8)
 	p.Seed = 45
@@ -273,13 +273,14 @@ func TestMetricsSnapshotMidRunMany(t *testing.T) {
 	for i := range roots {
 		roots[i] = int32(i)
 	}
-	metrics := obs.NewMetrics()
+	reg := obs.NewRegistry()
+	rec := obs.NewRegistryRecorder(reg, "hybrid")
 	done := make(chan []*bfs.Result, 1)
 	go func() {
 		results, err := bfs.RunMany(g, roots, bfs.ManyOptions{
 			Engine:      bfs.HybridEngine(bfs.DefaultM, bfs.DefaultN, 2),
 			Concurrency: 4,
-			Recorder:    metrics,
+			Recorder:    rec,
 		})
 		if err != nil {
 			t.Errorf("RunMany: %v", err)
@@ -287,37 +288,43 @@ func TestMetricsSnapshotMidRunMany(t *testing.T) {
 		done <- results
 	}()
 
-	var prev map[string]int64
-	monotone := []string{"traversals_total", "levels_total", "roots_dispatched_total", "roots_done_total",
-		"vertices_discovered_total", "grains_dispatched_total"}
+	dispatched := map[string]string{"kind": "root_dispatch"}
+	rootsDone := map[string]string{"kind": "root_done"}
+	snapshot := func() map[string]float64 {
+		// Read done before dispatched: each read renders a fresh page,
+		// and only this order makes done <= dispatched an invariant.
+		s := map[string]float64{"done": obs.SeriesSum(t, reg, "crossbfs_engine_events_total", rootsDone)}
+		s["dispatched"] = obs.SeriesSum(t, reg, "crossbfs_engine_events_total", dispatched)
+		s["traversals"] = obs.SeriesSum(t, reg, "crossbfs_engine_traversals_total", nil)
+		s["levels"] = obs.SeriesSum(t, reg, "crossbfs_engine_levels_total", nil)
+		s["discovered"] = obs.SeriesSum(t, reg, "crossbfs_engine_discovered_total", nil)
+		return s
+	}
+	var prev map[string]float64
 	for running := true; running; {
 		select {
 		case <-done:
 			running = false
 		default:
 		}
-		s := metrics.Snapshot()
+		s := snapshot()
 		for k, v := range s {
 			if v < 0 {
-				t.Fatalf("mid-run snapshot has negative %s = %d", k, v)
+				t.Fatalf("mid-run page has negative %s = %v", k, v)
 			}
 		}
-		if s["roots_done_total"] > s["roots_dispatched_total"] {
-			t.Fatalf("mid-run snapshot: %d roots done > %d dispatched",
-				s["roots_done_total"], s["roots_dispatched_total"])
+		if s["done"] > s["dispatched"] {
+			t.Fatalf("mid-run page: %v roots done > %v dispatched", s["done"], s["dispatched"])
 		}
-		if prev != nil {
-			for _, k := range monotone {
-				if s[k] < prev[k] {
-					t.Fatalf("counter %s went backwards: %d -> %d", k, prev[k], s[k])
-				}
+		for k := range prev {
+			if s[k] < prev[k] {
+				t.Fatalf("counter %s went backwards: %v -> %v", k, prev[k], s[k])
 			}
 		}
 		prev = s
 	}
-	s := metrics.Snapshot()
-	if s["traversals_total"] != int64(len(roots)) || s["roots_done_total"] != int64(len(roots)) {
-		t.Errorf("final snapshot: traversals=%d roots_done=%d, want %d each",
-			s["traversals_total"], s["roots_done_total"], len(roots))
+	s := snapshot()
+	if s["traversals"] != float64(len(roots)) || s["done"] != float64(len(roots)) {
+		t.Errorf("final page: traversals=%v roots_done=%v, want %d each", s["traversals"], s["done"], len(roots))
 	}
 }

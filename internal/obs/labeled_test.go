@@ -15,7 +15,7 @@ func TestRegistryRecorderAggregates(t *testing.T) {
 	rr.Event(Event{Kind: KindLevel, Dir: BottomUp, FrontierVertices: 100, Discovered: 80, WallDur: 2 * time.Millisecond})
 	rr.Event(Event{Kind: KindExchangeEnd, Index: 1, Bytes: 4096})
 	rr.Event(Event{Kind: KindExchangeEnd, Index: 7, Bytes: 1 << 20}) // rank out of range: dropped
-	rr.Event(Event{Kind: KindFault, Detail: "ignored kind"})
+	rr.Event(Event{Kind: KindFault, Detail: "counted in events_total"})
 
 	var sb strings.Builder
 	if err := reg.WriteExposition(&sb); err != nil {
@@ -29,6 +29,8 @@ func TestRegistryRecorderAggregates(t *testing.T) {
 		`crossbfs_engine_discovered_total{engine="hybrid(64,64)",dir="bu"} 80`,
 		`crossbfs_engine_exchange_bytes_total{engine="hybrid(64,64)",rank="1"} 4096`,
 		`crossbfs_engine_exchange_bytes_total{engine="hybrid(64,64)",rank="0"} 0`,
+		`crossbfs_engine_events_total{engine="hybrid(64,64)",kind="fault"} 1`,
+		`crossbfs_engine_events_total{engine="hybrid(64,64)",kind="exchange_end"} 2`,
 	} {
 		if !strings.Contains(page, want) {
 			t.Errorf("exposition misses %q:\n%s", want, page)
@@ -57,18 +59,64 @@ func TestRegistryRecorderSharesCells(t *testing.T) {
 	}
 }
 
-// TestRegistryRecorderAllocs is the labeled half of the hot-path
-// contract: with every label tuple pre-interned, Event performs only
-// atomic operations — 0 allocs/op, same as Nop and Metrics.
+// allKinds returns one event of every declared Kind, walking the
+// constant block up to the "unknown" String sentinel — the same
+// freshness walk as the lint's TestRegisteredKindsFresh, so a new Kind
+// joins the stream without editing this test.
+func allKinds(t testing.TB) []Event {
+	var evs []Event
+	for k := Kind(0); k.String() != "unknown"; k++ {
+		if k == 255 {
+			t.Fatal("Kind.String never returns \"unknown\"")
+		}
+		evs = append(evs, Event{Kind: k, Dir: BottomUp, FrontierVertices: 64, Discovered: 8, Scans: 3,
+			Index: 1, Bytes: 512, WallDur: time.Millisecond, Reused: true})
+	}
+	return evs
+}
+
+// TestRegistryRecorderCoversEveryKind feeds one event of every Kind
+// through the recorder and asserts each lands in a named series: the
+// two kinds with dedicated families there, every other kind in its
+// own crossbfs_engine_events_total{kind} cell. A Kind added without a
+// series fails here.
+func TestRegistryRecorderCoversEveryKind(t *testing.T) {
+	for _, e := range allKinds(t) {
+		reg := NewRegistry()
+		NewRegistryRecorder(reg, "e").WithRanks(2).Event(e)
+		var series string
+		var got float64
+		switch e.Kind {
+		case KindTraversalStart:
+			series = "crossbfs_engine_traversals_total"
+			got = SeriesSum(t, reg, series, nil)
+		case KindLevel:
+			series = "crossbfs_engine_levels_total"
+			got = SeriesSum(t, reg, series, nil)
+		default:
+			series = "crossbfs_engine_events_total"
+			got = SeriesSum(t, reg, series, nil)
+			if own := SeriesSum(t, reg, series, map[string]string{"kind": e.Kind.String()}); own != 1 {
+				t.Errorf("kind %s: events_total{kind=%q} = %v, want 1", e.Kind, e.Kind, own)
+			}
+		}
+		if got != 1 {
+			t.Errorf("kind %s: %s = %v, want exactly 1 (the event lands in no series, or in two)", e.Kind, series, got)
+		}
+	}
+}
+
+// TestRegistryRecorderAllocs is the hot-path contract: with every
+// label tuple pre-interned, Event performs only atomic operations —
+// 0 allocs/op across a stream holding every event kind.
 func TestRegistryRecorderAllocs(t *testing.T) {
 	reg := NewRegistry()
 	rr := NewRegistryRecorder(reg, "hybrid(64,64)").WithRanks(4)
-	level := Event{Kind: KindLevel, Dir: BottomUp, FrontierVertices: 1 << 14, Discovered: 1 << 12, WallDur: time.Millisecond}
-	exch := Event{Kind: KindExchangeEnd, Index: 2, Bytes: 8192}
+	evs := allKinds(t)
 	allocs := testing.AllocsPerRun(1000, func() {
-		rr.Event(Event{Kind: KindTraversalStart})
-		rr.Event(level)
-		rr.Event(exch)
+		for _, e := range evs {
+			rr.Event(e)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("RegistryRecorder.Event allocates %v per run, want 0", allocs)

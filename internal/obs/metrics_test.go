@@ -1,18 +1,47 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-func feedMetrics(m *Metrics) {
+// SeriesSum renders reg and sums every sample named name whose labels
+// include match (nil matches all). It is exported for the external
+// obs_test package too: the rendered page, not the cells, is what
+// scrapers see, so tests read values the same way.
+func SeriesSum(t testing.TB, reg *Registry, name string, match map[string]string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WriteExposition(&sb); err != nil {
+		t.Fatalf("WriteExposition: %v", err)
+	}
+	fams, err := ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, sb.String())
+	}
+	sum := 0.0
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			if s.Name != name {
+				continue
+			}
+			ok := true
+			for k, v := range match {
+				ok = ok && s.Labels[k] == v
+			}
+			if ok {
+				sum += s.Value
+			}
+		}
+	}
+	return sum
+}
+
+func feedMetrics(rec Recorder) {
 	events := []Event{
 		{Kind: KindTraversalStart, Reused: true},
 		{Kind: KindRootDispatch},
@@ -33,90 +62,99 @@ func feedMetrics(m *Metrics) {
 		{Kind: KindFault},
 	}
 	for _, e := range events {
-		m.Event(e)
+		rec.Event(e)
 	}
 }
 
+// TestMetricsSnapshot pins the registry successors of the retired flat
+// counters on one mixed event stream (the table in OBSERVABILITY.md
+// §Metrics maps each old name to these series).
 func TestMetricsSnapshot(t *testing.T) {
-	m := NewMetrics()
-	feedMetrics(m)
-	s := m.Snapshot()
-	want := map[string]int64{
-		"traversals_total":          2,
-		"traversal_errors_total":    1,
-		"workspace_reuses_total":    1,
-		"roots_dispatched_total":    1,
-		"roots_done_total":          1,
-		"levels_total":              2,
-		"levels_topdown_total":      1,
-		"levels_bottomup_total":     1,
-		"direction_switches_total":  1,
-		"vertices_discovered_total": 110,
-		"bottomup_scans_total":      500,
-		"grains_dispatched_total":   5,
-		"plan_runs_total":           1,
-		"sim_steps_total":           2,
-		"handoffs_total":            1,
-		"handoff_bytes_total":       4096,
-		"retries_total":             1,
-		"replans_total":             1,
-		"faults_total":              1,
-		// |V|cq 1 → bit-length 1; |V|cq 10 → bit-length 4.
-		"frontier_vertices_bucket_2e01": 1,
-		"frontier_vertices_bucket_2e04": 1,
-		// 3us → bit-length 2; 9us → bit-length 4.
-		"level_wall_us_bucket_2e02": 1,
-		"level_wall_us_bucket_2e04": 1,
+	reg := NewRegistry()
+	feedMetrics(NewRegistryRecorder(reg, "e"))
+	ev := func(kind string) map[string]string { return map[string]string{"kind": kind} }
+	cases := []struct {
+		series string
+		match  map[string]string
+		want   float64
+	}{
+		{"crossbfs_engine_traversals_total", nil, 2},
+		{"crossbfs_engine_traversal_errors_total", nil, 1},
+		{"crossbfs_engine_workspace_reuses_total", nil, 1},
+		{"crossbfs_engine_events_total", ev("root_dispatch"), 1},
+		{"crossbfs_engine_events_total", ev("root_done"), 1},
+		{"crossbfs_engine_levels_total", nil, 2},
+		{"crossbfs_engine_levels_total", map[string]string{"dir": "td"}, 1},
+		{"crossbfs_engine_levels_total", map[string]string{"dir": "bu"}, 1},
+		{"crossbfs_engine_events_total", ev("switch"), 1},
+		{"crossbfs_engine_discovered_total", nil, 110},
+		{"crossbfs_engine_scans_total", nil, 500},
+		{"crossbfs_engine_events_total", ev("plan_start"), 1},
+		{"crossbfs_engine_events_total", ev("sim_step"), 2},
+		{"crossbfs_engine_events_total", ev("handoff"), 1},
+		{"crossbfs_engine_events_total", ev("retry"), 1},
+		{"crossbfs_engine_events_total", ev("replan"), 1},
+		{"crossbfs_engine_events_total", ev("fault"), 1},
+		{"crossbfs_engine_events_total", ev("traversal_end"), 2},
+		// |V|cq 1 lands in le=1; |V|cq 10 in le=16.
+		{"crossbfs_engine_frontier_vertices_bucket", map[string]string{"dir": "td", "le": "1"}, 1},
+		{"crossbfs_engine_frontier_vertices_bucket", map[string]string{"dir": "bu", "le": "8"}, 0},
+		{"crossbfs_engine_frontier_vertices_bucket", map[string]string{"dir": "bu", "le": "16"}, 1},
+		// 3us lands in le=4e-06; 9us in le=1.6e-05.
+		{"crossbfs_engine_level_seconds_bucket", map[string]string{"dir": "td", "le": "4e-06"}, 1},
+		{"crossbfs_engine_level_seconds_bucket", map[string]string{"dir": "bu", "le": "8e-06"}, 0},
+		{"crossbfs_engine_level_seconds_bucket", map[string]string{"dir": "bu", "le": "1.6e-05"}, 1},
 	}
-	for k, v := range want {
-		if s[k] != v {
-			t.Errorf("snapshot[%q] = %d, want %d", k, s[k], v)
+	for _, c := range cases {
+		if got := SeriesSum(t, reg, c.series, c.match); got != c.want {
+			t.Errorf("%s%v = %v, want %v", c.series, c.match, got, c.want)
+		}
+	}
+	// No kind is counted twice: the dedicated families' kinds have no
+	// events_total cell.
+	for _, kind := range []string{"traversal_start", "level"} {
+		if got := SeriesSum(t, reg, "crossbfs_engine_events_total", ev(kind)); got != 0 {
+			t.Errorf("events_total{kind=%q} = %v, want no series", kind, got)
 		}
 	}
 }
 
-func TestHistBucket(t *testing.T) {
-	cases := map[int64]int{-5: 0, 0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 1 << 40: 41, 1<<62 + 5: 47}
-	for v, want := range cases {
-		if got := histBucket(v); got != want {
-			t.Errorf("histBucket(%d) = %d, want %d", v, got, want)
-		}
-	}
-}
-
+// TestMetricsTextEndpoint serves a recorder's registry through
+// Registry.Handler: a valid, fully typed exposition page with the
+// exposition content type.
 func TestMetricsTextEndpoint(t *testing.T) {
-	m := NewMetrics()
-	feedMetrics(m)
+	reg := NewRegistry()
+	feedMetrics(NewRegistryRecorder(reg, "e"))
 
-	var sb strings.Builder
-	if err := m.WriteText(&sb); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	text := sb.String()
-	if !strings.Contains(text, "crossbfs_levels_total 2\n") {
-		t.Errorf("text page missing levels_total:\n%s", text)
-	}
-	lines := strings.Split(strings.TrimSpace(text), "\n")
-	for i := 1; i < len(lines); i++ {
-		if lines[i] < lines[i-1] {
-			t.Errorf("text page not sorted: %q after %q", lines[i], lines[i-1])
-		}
-	}
-
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
 		t.Fatalf("GET metrics: %v", err)
 	}
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("Content-Type = %q, want text/plain", ct)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Errorf("Content-Type = %q, want text exposition", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ValidateExposition(strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatalf("served page invalid: %v\n%s", err, body)
+	}
+	if st.Typed != st.Families {
+		t.Errorf("%d of %d families untyped", st.Families-st.Typed, st.Families)
+	}
+	if !strings.Contains(string(body), `crossbfs_engine_levels_total{engine="e",dir="td"} 1`) {
+		t.Errorf("served page misses the level counter:\n%s", body)
 	}
 }
 
 func TestMetricsConcurrentEvents(t *testing.T) {
-	m := NewMetrics()
+	reg := NewRegistry()
+	rr := NewRegistryRecorder(reg, "e")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -124,82 +162,27 @@ func TestMetricsConcurrentEvents(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.Event(Event{Kind: KindLevel, Dir: TopDown, FrontierVertices: int64(i), Discovered: 1})
+				rr.Event(Event{Kind: KindLevel, Dir: TopDown, FrontierVertices: int64(i), Discovered: 1})
+				rr.Event(Event{Kind: KindSwitch})
 			}
 		}()
 	}
 	wg.Wait()
-	s := m.Snapshot()
-	if s["levels_total"] != workers*per {
-		t.Errorf("levels_total = %d, want %d", s["levels_total"], workers*per)
-	}
-	if s["vertices_discovered_total"] != workers*per {
-		t.Errorf("vertices_discovered_total = %d, want %d", s["vertices_discovered_total"], workers*per)
-	}
-}
-
-func TestMetricsWriteJSON(t *testing.T) {
-	m := NewMetrics()
-	feedMetrics(m)
-	var sb strings.Builder
-	if err := m.WriteJSON(&sb); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var got map[string]int64
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatalf("WriteJSON output is not valid JSON: %v\n%s", err, sb.String())
-	}
-	want := m.Snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("JSON has %d keys, snapshot has %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("json[%q] = %d, want %d", k, got[k], v)
+	for _, series := range []string{"crossbfs_engine_levels_total", "crossbfs_engine_discovered_total", "crossbfs_engine_events_total"} {
+		if got := SeriesSum(t, reg, series, nil); got != workers*per {
+			t.Errorf("%s = %v, want %d", series, got, workers*per)
 		}
-	}
-	// Stable key order: encoding/json sorts map keys, so two renders of
-	// the same state must be byte-identical — the property scripts that
-	// diff -metrics-out files rely on.
-	var sb2 strings.Builder
-	if err := m.WriteJSON(&sb2); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != sb2.String() {
-		t.Error("two WriteJSON renders of the same state differ")
-	}
-	keys := make([]string, 0, len(got))
-	dec := json.NewDecoder(strings.NewReader(sb.String()))
-	if _, err := dec.Token(); err != nil { // consume '{'
-		t.Fatal(err)
-	}
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k, ok := tok.(string); ok {
-			keys = append(keys, k)
-		}
-		if _, err := dec.Token(); err != nil { // consume the value
-			t.Fatal(err)
-		}
-	}
-	if !sort.StringsAreSorted(keys) {
-		t.Errorf("JSON keys not sorted: %v", keys)
 	}
 }
 
 // TestMetricsScrapeWhileRecording is the race-mode gate for the pull
-// endpoints: HTTP scrapes (Handler), expvar reads (Publish), and text
-// renders all run concurrently with a storm of recording goroutines.
+// endpoint: HTTP scrapes and exposition renders run concurrently with
+// a storm of recording goroutines, and every page must validate.
 func TestMetricsScrapeWhileRecording(t *testing.T) {
-	m := NewMetrics()
-	srv := httptest.NewServer(m.Handler())
+	reg := NewRegistry()
+	rr := NewRegistryRecorder(reg, "e")
+	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
-	// Publish panics on duplicate names; a unique per-test name keeps
-	// repeated -count runs inside one process safe.
-	m.Publish(fmt.Sprintf("crossbfs_scrape_test_%d", time.Now().UnixNano()))
 
 	stop := make(chan struct{})
 	var rec sync.WaitGroup
@@ -215,10 +198,10 @@ func TestMetricsScrapeWhileRecording(t *testing.T) {
 				default:
 				}
 				i++
-				m.Event(Event{Kind: KindTraversalStart, TraversalID: uint64(i)})
-				m.Event(Event{Kind: KindLevel, Dir: TopDown, FrontierVertices: i, Discovered: 1,
+				rr.Event(Event{Kind: KindTraversalStart, TraversalID: uint64(i)})
+				rr.Event(Event{Kind: KindLevel, Dir: TopDown, FrontierVertices: i, Discovered: 1,
 					Grains: 1, WallDur: time.Duration(i) * time.Microsecond})
-				m.Event(Event{Kind: KindTraversalEnd, TraversalID: uint64(i)})
+				rr.Event(Event{Kind: KindTraversalEnd, TraversalID: uint64(i)})
 			}
 		}(w)
 	}
@@ -239,13 +222,12 @@ func TestMetricsScrapeWhileRecording(t *testing.T) {
 					t.Errorf("read scrape: %v", err)
 					return
 				}
-				if !strings.Contains(string(body), "crossbfs_traversals_total") {
-					t.Errorf("scrape missing traversals_total:\n%s", body)
+				if !strings.Contains(string(body), "crossbfs_engine_traversals_total") {
+					t.Errorf("scrape missing engine_traversals_total:\n%s", body)
 					return
 				}
-				var sb strings.Builder
-				if err := m.WriteJSON(&sb); err != nil {
-					t.Errorf("WriteJSON during recording: %v", err)
+				if _, err := ValidateExposition(strings.NewReader(string(body))); err != nil {
+					t.Errorf("scrape during recording invalid: %v", err)
 					return
 				}
 			}
@@ -254,8 +236,7 @@ func TestMetricsScrapeWhileRecording(t *testing.T) {
 	scr.Wait()
 	close(stop)
 	rec.Wait()
-	s := m.Snapshot()
-	if s["traversals_total"] == 0 || s["levels_total"] == 0 {
-		t.Errorf("no events recorded during scrape storm: %v", s)
+	if SeriesSum(t, reg, "crossbfs_engine_traversals_total", nil) == 0 || SeriesSum(t, reg, "crossbfs_engine_levels_total", nil) == 0 {
+		t.Error("no events recorded during scrape storm")
 	}
 }

@@ -12,9 +12,10 @@
 // through one seam: the Recorder interface. Emitters (the BFS engines
 // in internal/bfs, the simulator and resilient executor in
 // internal/core, the RunMany dispatcher) publish flat Event values;
-// consumers aggregate (Metrics: counters/gauges/histograms via expvar
-// and a pull-based text endpoint) or export (TraceWriter: Chrome
-// trace-event JSON for chrome://tracing and Perfetto).
+// consumers aggregate (RegistryRecorder: labeled counters and
+// histograms in a Registry, rendered as Prometheus text exposition) or
+// export (TraceWriter: Chrome trace-event JSON for chrome://tracing
+// and Perfetto).
 //
 // Layering: obs imports nothing from the layers it observes, so every
 // package in the stack can import it without cycles. Quantities that

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"regexp"
 	"sort"
 	"strconv"
@@ -19,10 +20,9 @@ import (
 // every label tuple it will ever emit to *Cell handles at construction
 // time (Family.With takes the family lock once), and the per-event
 // path is then nothing but atomic adds on those handles. Rendering
-// (WriteExposition) produces Prometheus text exposition format v0.0.4;
-// the legacy flat crossbfs_* page (Metrics.WriteText, serveStats) is
-// untouched and may follow the typed families on the same scrape,
-// since bare "name value" lines are valid untyped samples.
+// (WriteExposition) produces Prometheus text exposition format v0.0.4
+// and is the only metrics renderer in the tree: bfsd's /metrics,
+// bfsrun's -metrics/-metrics-out and its -pprof /metrics all print it.
 
 // Label name vocabulary. Families register only names from this fixed
 // set — dimensional metrics stay cheap exactly because the label space
@@ -31,7 +31,7 @@ import (
 const (
 	LabelEngine    = "engine"    // kernel name: "hybrid(64,64)", "serial", ...
 	LabelDir       = "dir"       // traversal direction: "td" | "bu"
-	LabelKind      = "kind"      // query kind: "reach" | "path" | "khop" | "multi"
+	LabelKind      = "kind"      // query kind ("reach", "path", "khop", "multi") or event kind (Kind.String)
 	LabelRank      = "rank"      // shard rank index: "0", "1", ...
 	LabelGraph     = "graph"     // resident graph name
 	LabelClass     = "class"     // workload class: "oltp" | "olap"
@@ -344,9 +344,9 @@ func (c *Cell) CountAtMost(bound float64) (total, atMost uint64) {
 	return total, atMost
 }
 
-// Pow2Buckets returns unit*2^k for k in [lo, hi] — the exposition-side
-// twin of the power-of-two histograms obs.Metrics and serveStats keep,
-// so quantiles reconstructed from either agree to within one bucket.
+// Pow2Buckets returns unit*2^k for k in [lo, hi]: power-of-two bounds,
+// so a quantile reconstructed from the buckets is off by at most a
+// factor of two, the resolution bfsload's client histogram also has.
 func Pow2Buckets(lo, hi int, unit float64) []float64 {
 	if hi < lo {
 		panic("obs: Pow2Buckets hi < lo")
@@ -359,8 +359,7 @@ func Pow2Buckets(lo, hi int, unit float64) []float64 {
 }
 
 // LatencyBuckets is the standard latency bound set: 1µs to ~67s in
-// powers of two, expressed in seconds. Matches the microsecond
-// bit-length histogram serveStats keeps, bucket for bucket.
+// powers of two, expressed in seconds.
 func LatencyBuckets() []float64 { return Pow2Buckets(0, 26, 1e-6) }
 
 // SizeBuckets is the standard cardinality bound set (frontier sizes,
@@ -442,6 +441,15 @@ func (r *Registry) WriteExposition(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
+}
+
+// Handler serves WriteExposition over HTTP: the /metrics endpoint of
+// bfsd and of bfsrun's -pprof server.
+func (r *Registry) Handler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = r.WriteExposition(w)
+	})
 }
 
 func (f *Family) writeExposition(sb *strings.Builder) {

@@ -159,24 +159,48 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestMetricsPow2HistBoundaries pins the legacy power-of-two histogram
-// (obs.Metrics / histBucket) at the same edges: zero, exact powers of
-// two, and max-int clamped to the top bucket.
+// TestMetricsPow2HistBoundaries pins where RegistryRecorder's
+// power-of-two frontier histogram puts the edge values: zero and one
+// in the first bucket, an exact power of two in its own le bucket (not
+// the next), and max-int in +Inf.
 func TestMetricsPow2HistBoundaries(t *testing.T) {
 	cases := []struct {
-		v    int64
-		want int
+		v  int64
+		le string
 	}{
-		{0, 0},
-		{1, 1},         // bit length 1
-		{2, 2},         // exactly 2^1
-		{1 << 20, 21},  // exactly 2^20 -> bucket 21 (bit length)
-		{(1 << 20) - 1, 20},
-		{math.MaxInt64, 47}, // clamped to the top bucket
+		{0, "1"},
+		{1, "1"},
+		{2, "2"},
+		{1 << 20, "1.048576e+06"},
+		{(1 << 20) - 1, "1.048576e+06"},
+		{(1 << 20) + 1, "2.097152e+06"},
+		{math.MaxInt64, "+Inf"},
 	}
 	for _, tc := range cases {
-		if got := histBucket(tc.v); got != tc.want {
-			t.Errorf("histBucket(%d) = %d, want %d", tc.v, got, tc.want)
+		reg := NewRegistry()
+		NewRegistryRecorder(reg, "e").Event(Event{Kind: KindLevel, Dir: TopDown, FrontierVertices: tc.v})
+		var sb strings.Builder
+		if err := reg.WriteExposition(&sb); err != nil {
+			t.Fatal(err)
+		}
+		fams, err := ParseExposition(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got string
+		for _, f := range fams {
+			if f.Name != "crossbfs_engine_frontier_vertices" {
+				continue
+			}
+			for _, b := range HistogramBuckets(f, map[string]string{"dir": "td"}) {
+				if b.Count == 1 {
+					got = formatValue(b.LE)
+					break
+				}
+			}
+		}
+		if got != tc.le {
+			t.Errorf("|V|cq=%d lands in le=%s, want le=%s", tc.v, got, tc.le)
 		}
 	}
 }

@@ -20,21 +20,9 @@ func rmatGraph(t *testing.T, scale, ef int, seed uint64) *graph.CSR {
 
 func lattice(t *testing.T, side int) *graph.CSR {
 	t.Helper()
-	var edges []graph.Edge
-	id := func(x, y int) int32 { return int32(x*side + y) }
-	for x := 0; x < side; x++ {
-		for y := 0; y < side; y++ {
-			if x+1 < side {
-				edges = append(edges, graph.Edge{From: id(x, y), To: id(x+1, y)})
-			}
-			if y+1 < side {
-				edges = append(edges, graph.Edge{From: id(x, y), To: id(x, y+1)})
-			}
-		}
-	}
-	g, err := graph.Build(side*side, edges, graph.BuildOptions{Symmetrize: true})
+	g, err := graph.Lattice(side)
 	if err != nil {
-		t.Fatalf("graph.Build: %v", err)
+		t.Fatalf("graph.Lattice: %v", err)
 	}
 	return g
 }

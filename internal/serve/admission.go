@@ -2,10 +2,7 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"crossbfs/internal/obs"
@@ -72,9 +69,9 @@ func (g *gate) leave() {
 }
 
 // Admission-outcome reason labels, in the order serveStats interns
-// their cells. The vocabulary mirrors the legacy counters plus the
-// *Error codes: "unavailable" covers 503s (shutting_down, canceled),
-// "deadline" the 504s, "queue_full" the 429s.
+// their cells. The vocabulary follows the *Error codes: "unavailable"
+// covers 503s (shutting_down, canceled), "deadline" the 504s,
+// "queue_full" the 429s.
 const (
 	reasonOK = iota
 	reasonQueueFull
@@ -133,41 +130,21 @@ func classOf(kind string) string {
 	}
 }
 
-// serveStats aggregates the request-level counters the obs.Metrics
-// event taxonomy does not cover: admission outcomes, per-kind request
-// counts, and service-time latency. The legacy atomics render the flat
-// crossbfs_serve_* page byte-identically; the labeled cells carry the
-// same stream into the dimensional families (per-class/kind latency
-// histograms, outcomes by reason) the exposition page and the SLO
-// engine read. Both are pre-resolved, so the hot path stays a handful
-// of atomic adds per request.
+// serveStats holds the request-level cells the engine event stream
+// does not cover: service-time latency by class and kind, and
+// admission outcomes by reason — the families the exposition page and
+// the SLO engine read. They are pre-resolved, so the hot path stays a
+// couple of atomic adds per request.
 type serveStats struct {
-	requests  atomic.Int64
-	ok        atomic.Int64
-	clientErr atomic.Int64 // 4xx except 429
-	rejected  atomic.Int64 // 429 queue_full
-	deadline  atomic.Int64 // 504
-	serverErr atomic.Int64 // 5xx
-
-	reach atomic.Int64
-	path  atomic.Int64
-	khop  atomic.Int64
-	multi atomic.Int64
-
-	// latencyHist[b] counts OK responses whose service time had
-	// bit-length b in microseconds (bucket b covers [2^(b-1), 2^b)).
-	latencyHist [48]atomic.Int64
-
-	// Labeled twins, interned at construction.
 	latency  [kindCount]*obs.Cell   // crossbfs_query_latency_seconds{class,kind}
 	outcomes [reasonCount]*obs.Cell // crossbfs_admission_outcomes_total{reason}
 }
 
-// newServeStats interns the labeled cells on reg. The latency bounds
-// are the power-of-two microsecond set (expressed in seconds), bucket
-// for bucket the shape of the legacy latencyHist — which is what lets
-// client- and server-side quantiles agree to within one bucket.
-func newServeStats(reg *obs.Registry) *serveStats {
+// newServeStats interns the request cells on reg and registers the
+// admission gauges over g. The latency bounds are the power-of-two
+// microsecond set (expressed in seconds), which is what lets client-
+// and server-side quantiles agree to within one bucket.
+func newServeStats(reg *obs.Registry, g *gate) *serveStats {
 	t := &serveStats{}
 	lat := reg.Histogram("crossbfs_query_latency_seconds",
 		"Query service time in seconds (admission wait + traversal + shaping), by workload class and kind.",
@@ -180,20 +157,11 @@ func newServeStats(reg *obs.Registry) *serveStats {
 	for i, reason := range reasonLabels {
 		t.outcomes[i] = out.With(reason)
 	}
+	reg.Gauge("crossbfs_serve_inflight", "Requests holding an execution slot.").
+		WithFunc(func() float64 { return float64(g.running.Load()) })
+	reg.Gauge("crossbfs_serve_queued", "Requests waiting in the admission queue.").
+		WithFunc(func() float64 { return float64(g.queued.Load()) })
 	return t
-}
-
-func (t *serveStats) observeKind(kind string) {
-	switch kind {
-	case KindReach:
-		t.reach.Add(1)
-	case KindPath:
-		t.path.Add(1)
-	case KindKHop:
-		t.khop.Add(1)
-	case KindMulti:
-		t.multi.Add(1)
-	}
 }
 
 // reasonFor maps an HTTP status to its outcome label index.
@@ -215,80 +183,9 @@ func reasonFor(status int) int {
 }
 
 func (t *serveStats) observeOutcome(kind string, status int, elapsedUS int64) {
-	switch {
-	case status < 300:
-		t.ok.Add(1)
-		t.latencyHist[histBucket(elapsedUS)].Add(1)
-		if i := kindIndex(kind); i >= 0 {
-			t.latency[i].Observe(float64(elapsedUS) * 1e-6)
-		}
-	case status == 429:
-		t.rejected.Add(1)
-	case status == 504:
-		t.deadline.Add(1)
-	case status >= 500:
-		t.serverErr.Add(1)
-	default:
-		t.clientErr.Add(1)
+	r := reasonFor(status)
+	if i := kindIndex(kind); r == reasonOK && i >= 0 {
+		t.latency[i].Observe(float64(elapsedUS) * 1e-6)
 	}
-	t.outcomes[reasonFor(status)].Inc()
-}
-
-// histBucket maps a non-negative value to its power-of-two bucket,
-// clamped to the histogram range (the same shape obs.Metrics uses).
-func histBucket(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	b := 0
-	for x := uint64(v); x > 0; x >>= 1 {
-		b++
-	}
-	if b >= 48 {
-		b = 47
-	}
-	return b
-}
-
-// Snapshot returns the serve-layer counters keyed by stable names.
-func (t *serveStats) Snapshot(g *gate) map[string]int64 {
-	s := map[string]int64{
-		"serve_requests_total":      t.requests.Load(),
-		"serve_ok_total":            t.ok.Load(),
-		"serve_client_errors_total": t.clientErr.Load(),
-		"serve_rejected_total":      t.rejected.Load(),
-		"serve_deadline_total":      t.deadline.Load(),
-		"serve_server_errors_total": t.serverErr.Load(),
-		"serve_reach_total":         t.reach.Load(),
-		"serve_path_total":          t.path.Load(),
-		"serve_khop_total":          t.khop.Load(),
-		"serve_multi_total":         t.multi.Load(),
-		"serve_inflight":            g.running.Load(),
-		"serve_queued":              g.queued.Load(),
-		"serve_slots":               int64(cap(g.slots)),
-		"serve_queue_depth":         g.depth,
-	}
-	for i := range t.latencyHist {
-		if v := t.latencyHist[i].Load(); v > 0 {
-			s[fmt.Sprintf("serve_latency_us_bucket_2e%02d", i)] = v
-		}
-	}
-	return s
-}
-
-// WriteText appends the serve counters to a /metrics scrape in the
-// same "crossbfs_<name> <value>" shape obs.Metrics.WriteText uses.
-func (t *serveStats) WriteText(w io.Writer, g *gate) error {
-	s := t.Snapshot(g)
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "crossbfs_%s %d\n", k, s[k]); err != nil {
-			return err
-		}
-	}
-	return nil
+	t.outcomes[r].Inc()
 }

@@ -20,14 +20,15 @@
 //     tiny graphs, the direction-optimizing hybrid by default, the
 //     sharded engine for large graphs when the server is configured
 //     with ranks), mirroring how bfsrun picks kernels;
-//   - every traversal reports into internal/obs: always-on Metrics,
+//   - every traversal reports into internal/obs: an always-on
+//     obs.RegistryRecorder per graph feeding the /metrics families,
 //     and a 1-in-K sampled flight recorder (obs.Sampler over obs.Ring)
 //     whose retained traversals are dumped by the /debug/flight
 //     endpoint for post-hoc latency forensics.
 //
 // The HTTP surface (Server.Handler) is JSON over POST /query plus the
-// operational endpoints /graphs, /healthz, /metrics, /metrics.json,
-// and /debug/flight. SERVING.md documents the request and response
+// operational endpoints /graphs, /healthz, /readyz, /metrics,
+// /debug/flight and /debug/slo. SERVING.md documents the request and response
 // schemas, the status-code contract, and a worked curl session;
 // cmd/bfsd is the daemon wrapping this package and cmd/bfsload the
 // matching load generator.

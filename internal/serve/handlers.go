@@ -24,9 +24,7 @@ const retryAfterSeconds = 1
 //	GET  /graphs        list resident graphs
 //	GET  /healthz       liveness + admission gauges
 //	GET  /readyz        readiness (503 until armed, and again during drain)
-//	GET  /metrics       dimensional families (Prometheus text exposition)
-//	                    followed by the legacy flat counter page
-//	GET  /metrics.json  the flat counters as JSON
+//	GET  /metrics       metric families (Prometheus text exposition)
 //	GET  /debug/flight  flight-recorder dump (Chrome trace JSON)
 //	GET  /debug/slo     SLO verdicts: burn rates and breach state
 //
@@ -39,8 +37,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/graphs", s.handleGraphs)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
+	mux.Handle("/metrics", s.registry.Handler())
 	mux.HandleFunc("/debug/flight", s.handleFlight)
 	mux.HandleFunc("/debug/slo", s.handleSLO)
 	return mux
@@ -137,18 +134,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]string{"status": "ready"})
 }
 
-// handleMetrics scrapes the combined counter page: the dimensional
-// families first (valid Prometheus text exposition, HELP/TYPE and all),
-// then the legacy flat pages — whose names are disjoint from every
-// family, so the whole page still parses as one exposition (the flat
-// lines are untyped samples).
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.registry.WriteExposition(w)
-	_ = s.metrics.WriteText(w)
-	_ = s.stats.WriteText(w, s.gate)
-}
-
 // handleSLO reports the burn-rate engine's latest verdicts. With no
 // objectives configured the payload is an empty list, not an error —
 // "nothing to watch" is a valid configuration.
@@ -161,17 +146,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 			return d
 		}(),
 	})
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	snap := s.metrics.Snapshot()
-	for k, v := range s.stats.Snapshot(s.gate) {
-		snap[k] = v
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(snap)
 }
 
 // handleFlight dumps the flight recorder as a standalone Chrome trace:

@@ -140,8 +140,6 @@ func (q *Query) validate(n int) *Error {
 //lint:boundary
 func (s *Server) Query(ctx context.Context, q Query) (*Response, *Error) {
 	started := time.Now()
-	s.stats.requests.Add(1)
-	s.stats.observeKind(q.Kind)
 	resp, err := s.query(ctx, q, started)
 	elapsed := time.Since(started).Microseconds()
 	if err != nil {

@@ -109,9 +109,9 @@ type GraphInfo struct {
 }
 
 // servedGraph pairs a resident CSR with the engine the planner chose
-// for it at registration time, plus the graph's recorder chain: the
-// server-wide chain extended with the engine-labeled registry recorder
-// and the per-graph query counters, all interned at AddGraph.
+// for it at registration time, plus the graph's recorder chain (the
+// sampled flight sinks and the engine-labeled registry recorder) and
+// the per-graph query counters, all interned at AddGraph.
 type servedGraph struct {
 	info    GraphInfo
 	g       *graph.CSR
@@ -125,19 +125,16 @@ type servedGraph struct {
 // use; cmd/bfsd mounts Server.Handler behind net/http.
 type Server struct {
 	cfg      Config
-	metrics  *obs.Metrics
 	registry *obs.Registry
 	ring     *obs.Ring
-	sampler  *obs.Sampler
-	// rec is the per-traversal recorder chain: metrics always, the
-	// flight ring (and Config.Recorder) behind the 1-in-K sampler.
-	// Per-graph chains (servedGraph.rec) extend it with the
-	// engine-labeled registry recorder.
-	rec   obs.Recorder
-	pool  *bfs.WorkspacePool
-	gate  *gate
-	stats *serveStats
-	start time.Time
+	// sampler puts the flight ring (and Config.Recorder) behind the
+	// 1-in-K keep decision. Per-graph chains (servedGraph.rec) pair it
+	// with the engine-labeled registry recorder, which sees every event.
+	sampler *obs.Sampler
+	pool    *bfs.WorkspacePool
+	gate    *gate
+	stats   *serveStats
+	start   time.Time
 
 	// ready is the /readyz state: explicitly armed by the embedder
 	// (bfsd, once every graph is loaded) and lowered at Close, so load
@@ -196,15 +193,14 @@ func NewServer(cfg Config) *Server {
 	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:      cfg,
-		metrics:  obs.NewMetrics(),
 		registry: reg,
 		ring:     obs.NewRing(cfg.FlightKeep, cfg.FlightMaxEvents),
 		pool:     cfg.Pool,
 		gate:     newGate(cfg.MaxConcurrent, cfg.QueueDepth),
-		stats:    newServeStats(reg),
 		graphs:   make(map[string]*servedGraph),
 		start:    time.Now(),
 	}
+	s.stats = newServeStats(reg, s.gate)
 	s.lastIncidentDir.Store("")
 	obs.RegisterRingGauges(reg, s.ring)
 	sampled := obs.Recorder(s.ring)
@@ -212,7 +208,6 @@ func NewServer(cfg Config) *Server {
 		sampled = obs.Multi(s.ring, cfg.Recorder)
 	}
 	s.sampler = obs.NewSampler(sampled, cfg.SampleK, cfg.SampleSeed)
-	s.rec = obs.Multi(s.sampler, s.metrics)
 	s.incidentCell = reg.Counter("crossbfs_incidents_total",
 		"Incident bundles captured by the SLO breach hook.").With()
 	if len(cfg.Objectives) > 0 {
@@ -246,7 +241,7 @@ func (s *Server) AddGraph(name, origin string, g *graph.CSR) error {
 		},
 		g:      g,
 		engine: e,
-		rec:    obs.Multi(s.rec, rr),
+		rec:    obs.Multi(s.sampler, rr),
 	}
 	qf := s.registry.Counter("crossbfs_graph_queries_total",
 		"Queries reaching a resident graph, by graph and kind.", obs.LabelGraph, obs.LabelKind)
@@ -314,11 +309,7 @@ func (s *Server) Graphs() []GraphInfo {
 	return infos
 }
 
-// Metrics exposes the server's always-on counter aggregator.
-func (s *Server) Metrics() *obs.Metrics { return s.metrics }
-
-// Registry exposes the dimensional metric families (the typed half of
-// the /metrics page).
+// Registry exposes the metric families the /metrics page renders.
 func (s *Server) Registry() *obs.Registry { return s.registry }
 
 // SetReady arms or lowers the /readyz state. A fresh server reports

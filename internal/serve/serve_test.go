@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -465,6 +466,35 @@ type recorderFunc func(obs.Event)
 
 func (f recorderFunc) Event(e obs.Event) { f(e) }
 
+// seriesSum renders the server's registry and sums every sample named
+// name whose labels include match (nil matches all).
+func seriesSum(t *testing.T, s *Server, name string, match map[string]string) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := s.Registry().WriteExposition(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("registry page does not parse: %v", err)
+	}
+	sum := 0.0
+	for _, f := range fams {
+		for _, smp := range f.Samples {
+			ok := smp.Name == name
+			for k, v := range match {
+				ok = ok && smp.Labels[k] == v
+			}
+			if ok {
+				sum += smp.Value
+			}
+		}
+	}
+	return sum
+}
+
+// TestMetricsCountTraversals pins the registry series that replaced the
+// flat request and traversal counters.
 func TestMetricsCountTraversals(t *testing.T) {
 	g := mustRMAT(t, 9, 8, 3)
 	s := newTestServer(t, Config{}, g)
@@ -474,13 +504,21 @@ func TestMetricsCountTraversals(t *testing.T) {
 			t.Fatalf("query: %v", serr)
 		}
 	}
-	snap := s.Metrics().Snapshot()
-	if snap["traversals_total"] < 4 {
-		t.Errorf("traversals_total = %d, want >= 4", snap["traversals_total"])
+	if n := seriesSum(t, s, "crossbfs_engine_traversals_total", nil); n < 4 {
+		t.Errorf("engine_traversals_total = %v, want >= 4", n)
 	}
-	ss := s.stats.Snapshot(s.gate)
-	if ss["serve_requests_total"] != 4 || ss["serve_ok_total"] != 4 || ss["serve_reach_total"] != 4 {
-		t.Errorf("serve counters = req %d ok %d reach %d, want 4/4/4",
-			ss["serve_requests_total"], ss["serve_ok_total"], ss["serve_reach_total"])
+	reach := map[string]string{"kind": KindReach}
+	for _, c := range []struct {
+		series string
+		match  map[string]string
+	}{
+		{"crossbfs_admission_outcomes_total", nil},
+		{"crossbfs_admission_outcomes_total", map[string]string{"reason": "ok"}},
+		{"crossbfs_graph_queries_total", reach},
+		{"crossbfs_query_latency_seconds_count", reach},
+	} {
+		if n := seriesSum(t, s, c.series, c.match); n != 4 {
+			t.Errorf("%s%v = %v, want 4", c.series, c.match, n)
+		}
 	}
 }

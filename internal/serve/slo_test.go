@@ -81,9 +81,8 @@ func TestReadyzLifecycle(t *testing.T) {
 }
 
 // TestMetricsExpositionValid scrapes a live /metrics page and runs it
-// through the exposition validator: the typed families up front must be
-// well-formed, and the legacy flat lines after them must parse as
-// untyped samples without colliding with any family.
+// through the exposition validator: every family must be well-formed
+// and typed (the page is the registry alone, with no untyped lines).
 func TestMetricsExpositionValid(t *testing.T) {
 	g := mustRMAT(t, 9, 8, 3)
 	s := newTestServer(t, Config{}, g)
@@ -116,6 +115,12 @@ func TestMetricsExpositionValid(t *testing.T) {
 	if stats.Families == 0 || stats.Samples == 0 {
 		t.Fatalf("validator saw nothing: %+v", stats)
 	}
+	if stats.Typed != stats.Families {
+		t.Errorf("%d of %d families are untyped:\n%s", stats.Families-stats.Typed, stats.Families, page)
+	}
+	if n := seriesSum(t, s, "crossbfs_admission_outcomes_total", nil); n != 3 {
+		t.Errorf("admission outcomes sum to %v, want the 3 requests", n)
+	}
 	for _, want := range []string{
 		`crossbfs_query_latency_seconds_bucket{class="oltp",kind="reach",le="+Inf"}`,
 		`crossbfs_admission_outcomes_total{reason="ok"}`,
@@ -123,9 +128,10 @@ func TestMetricsExpositionValid(t *testing.T) {
 		`crossbfs_graph_queries_total{graph="g",kind="reach"} 1`,
 		"crossbfs_flight_retained",
 		"# TYPE crossbfs_query_latency_seconds histogram",
-		// Legacy flat pages must survive verbatim after the families.
-		"crossbfs_serve_requests_total 3",
-		"crossbfs_traversals_total",
+		`crossbfs_engine_traversals_total{engine=`,
+		`crossbfs_engine_events_total{engine=`,
+		"# TYPE crossbfs_serve_inflight gauge",
+		"# TYPE crossbfs_serve_queued gauge",
 	} {
 		if !strings.Contains(string(page), want) {
 			t.Errorf("/metrics missing %q", want)

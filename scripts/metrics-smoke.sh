@@ -1,9 +1,10 @@
 #!/bin/sh
 # metrics-smoke: the exposition-format gate. Boots bfsd on a loopback
 # port, pushes a little traffic through it, and validates the live
-# GET /metrics page with expcheck — HELP/TYPE metadata, family
-# contiguity, histogram bucket discipline — plus the readiness split
-# (/readyz 200 only once graphs are loaded, /healthz always 200).
+# GET /metrics page with expcheck — HELP/TYPE metadata on every
+# family, family contiguity, histogram bucket discipline — plus the
+# readiness split (/readyz 200 only once graphs are loaded, /healthz
+# always 200).
 # Wired into `make verify` as the metrics-smoke target; the format
 # rules are documented in OBSERVABILITY.md.
 set -eu
@@ -60,12 +61,24 @@ code=$(curl -s -o /dev/null -w "%{http_code}" "http://$ADDR/healthz")
 "$DIR/expcheck" -url "http://$ADDR/metrics"
 "$DIR/expcheck" "$DIR/metrics.txt"
 
+# Every family on the page is typed: the registry is the only renderer,
+# so an untyped family means a second aggregator crept back in.
+"$DIR/expcheck" -summary "$DIR/metrics.txt" >"$DIR/summary.txt"
+if grep -q "^untyped" "$DIR/summary.txt"; then
+    echo "metrics-smoke: /metrics has untyped families:" >&2
+    grep "^untyped" "$DIR/summary.txt" >&2
+    exit 1
+fi
+
 # The page must carry the dimensional families the SLO engine and
 # bfsload's server-side report read.
 for family in \
     crossbfs_query_latency_seconds_bucket \
     crossbfs_admission_outcomes_total \
     crossbfs_engine_level_seconds_bucket \
+    crossbfs_engine_events_total \
+    crossbfs_serve_inflight \
+    crossbfs_serve_queued \
     crossbfs_slo_burn \
     crossbfs_flight_retained; do
     grep -q "$family" "$DIR/metrics.txt" || {

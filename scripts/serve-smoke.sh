@@ -50,12 +50,12 @@ ADDR=$(cat "$DIR/addr")
     -scrape-metrics "$DIR/metrics.txt" \
     -flight-out "$DIR/flight.json"
 
-grep -q "crossbfs_serve_requests_total" "$DIR/metrics.txt" || {
-    echo "serve-smoke: /metrics scrape misses the serve counters" >&2
+grep -q "crossbfs_admission_outcomes_total" "$DIR/metrics.txt" || {
+    echo "serve-smoke: /metrics scrape misses the admission outcomes" >&2
     exit 1
 }
-grep -q "crossbfs_traversals_total" "$DIR/metrics.txt" || {
-    echo "serve-smoke: /metrics scrape misses the obs counters" >&2
+grep -q "crossbfs_engine_traversals_total" "$DIR/metrics.txt" || {
+    echo "serve-smoke: /metrics scrape misses the engine counters" >&2
     exit 1
 }
 "$DIR/tracecheck" "$DIR/flight.json"
