@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"crossbfs/internal/graph"
 	"crossbfs/internal/obs"
 )
 
@@ -71,7 +72,9 @@ func BenchmarkRunManyRecorderOverhead(b *testing.B) {
 
 // Per-kernel × per-scale MTEPS for the perf-regression trajectory:
 // the paper's Fig. 4 / Table IV claims rest on these kernels, so
-// BENCH_<n>.json tracks each one at two scales.
+// BENCH_<n>.json tracks each one at two scales. lattice/side512 is the
+// hybrid on a 512×512 grid from a corner: 1,023 small top-down levels,
+// so per-level dispatch cost shows up here first.
 func BenchmarkKernelScales(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -86,20 +89,33 @@ func BenchmarkKernelScales(b *testing.B) {
 		src := firstUsableB(b, g)
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("%s/scale%d", k.name, scale), func(b *testing.B) {
-				ws := NewWorkspace(g.NumVertices())
-				r, err := k.eng.Run(g, src, ws) // warmup
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.SetBytes(r.TraversedEdges * 4) // adjacency bytes touched; MTEPS = MB/s ÷ 4
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := k.eng.Run(g, src, ws); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchEngine(b, k.eng, g, src)
 			})
+		}
+	}
+	lattice, err := graph.Lattice(512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("lattice/side512", func(b *testing.B) {
+		benchEngine(b, HybridEngine(DefaultM, DefaultN, 0), lattice, 0)
+	})
+}
+
+// benchEngine times e's traversals of g from src through one reused
+// workspace.
+func benchEngine(b *testing.B, e Engine, g *graph.CSR, src int32) {
+	ws := NewWorkspace(g.NumVertices())
+	r, err := e.Run(g, src, ws) // warmup
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(r.TraversedEdges * 4) // adjacency bytes touched; MTEPS = MB/s ÷ 4
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Run(g, src, ws); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

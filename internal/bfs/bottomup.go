@@ -2,7 +2,6 @@ package bfs
 
 import (
 	"context"
-	"sync/atomic"
 
 	"crossbfs/internal/bitmap"
 	"crossbfs/internal/graph"
@@ -24,41 +23,59 @@ const buGrain = 4096
 // Cancellation is observed at grain boundaries (see parallelGrains);
 // on error the counts are meaningless and the caller must abandon the
 // traversal.
-func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32, workers int) (found, scans int64, err error) {
+func bottomUpLevel(ctx context.Context, g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32, workers int, ws *Workspace) (found, scans int64, err error) {
 	n := g.NumVertices()
-	if resolveWorkers(workers, (n+buGrain-1)/buGrain) == 1 {
+	_, nworkers := fanOut(n, buGrain, workers)
+	if nworkers == 1 {
 		found, scans = bottomUpLevelSerial(g, r, visited, front, next, level)
 		return found, scans, nil
 	}
-	var foundTotal, scanTotal atomic.Int64
-	err = parallelGrains(ctx, n, buGrain, workers, func(_, start, end int) {
-		var localFound, localScans int64
+	a := &ws.lvl
+	a.g, a.r, a.visited, a.front, a.next, a.level = g, r, visited, front, next, level
+	a.found.Store(0)
+	a.scans.Store(0)
+	if a.bu == nil {
+		a.buildBottomUp()
+	}
+	if err := parallelGrains(ctx, &ws.team, n, buGrain, nworkers, a.bu); err != nil {
+		return 0, 0, err
+	}
+	return a.found.Load(), a.scans.Load(), nil
+}
+
+// buildBottomUp builds the parallel bottom-up grain body: every
+// unvisited vertex in the grain adopts its first neighbour in the
+// frontier as parent.
+//
+// It stays out of line; see levelArgs.
+//
+//go:noinline
+func (a *levelArgs) buildBottomUp() {
+	a.bu = func(_, start, end int) {
+		g, visited, front, next, level := a.g, a.visited, a.front, a.next, a.level
+		var found, scans int64
 		for v := start; v < end; v++ {
 			if visited.Get(v) {
 				continue
 			}
 			for _, u := range g.Neighbors(int32(v)) {
-				localScans++
+				scans++
 				if front.Get(int(u)) {
 					// Safe without a claim: v iterates this worker's
 					// [start, end) grain, and parallelGrains hands out
 					// disjoint grains, so exactly one worker ever
 					// writes slot v.
-					r.Parent[v] = u    //lint:shared-ok single writer: v is in this worker's disjoint grain
-					r.Level[v] = level //lint:shared-ok single writer: v is in this worker's disjoint grain
+					a.r.Parent[v] = u    //lint:shared-ok single writer: v is in this worker's disjoint grain
+					a.r.Level[v] = level //lint:shared-ok single writer: v is in this worker's disjoint grain
 					next.SetAtomic(v)
-					localFound++
+					found++
 					break
 				}
 			}
 		}
-		foundTotal.Add(localFound)
-		scanTotal.Add(localScans)
-	})
-	if err != nil {
-		return 0, 0, err
+		a.found.Add(found)
+		a.scans.Add(scans)
 	}
-	return foundTotal.Load(), scanTotal.Load(), nil
 }
 
 func bottomUpLevelSerial(g *graph.CSR, r *Result, visited, front, next *bitmap.Bitmap, level int32) (found, scans int64) {

@@ -108,6 +108,72 @@ func TestCancelMidTraversalAllEngines(t *testing.T) {
 	settleGoroutines(t, "all engines", base)
 }
 
+// TestRunJoinsTeamOnEveryExit starts the worker team (every level of a
+// bottom-up traversal of a scale-16 R-MAT fans out) and leaves Run by
+// each exit: a finished traversal, a cancel at a level boundary, a
+// cancel while levels run, and a policy panic. After each, the goroutine count
+// settles back to its value before the run, and the workspace
+// reproduces the reference traversal.
+func TestRunJoinsTeamOnEveryExit(t *testing.T) {
+	g := testRMAT(t, 16, 8, 3)
+	src := firstUsable(t, g)
+	want, err := Serial(g, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panicky := PolicyFunc(func(s StepInfo) Direction {
+		if s.Step == 3 {
+			panic("policy kaboom")
+		}
+		return BottomUp
+	})
+	exits := []struct {
+		name string
+		run  func(ws *Workspace) error
+		want func(error) bool
+	}{
+		{"success", func(ws *Workspace) error {
+			var rec levelRecorder
+			_, err := RunWith(g, src, Options{Policy: AlwaysBottomUp, Workers: 2, Recorder: &rec}, ws)
+			if err == nil && rec.fanned() != len(rec.levels) {
+				t.Fatalf("%d of %d levels fanned out, want all", rec.fanned(), len(rec.levels))
+			}
+			return err
+		}, func(err error) bool { return err == nil }},
+		{"cancel at a level boundary", func(ws *Workspace) error {
+			_, err := RunWithContext(newStepCancelCtx(3), g, src, Options{Policy: AlwaysBottomUp, Workers: 2}, ws)
+			return err
+		}, func(err error) bool { return errors.Is(err, context.Canceled) }},
+		{"cancel while levels run", func(ws *Workspace) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(time.Millisecond, cancel)
+			defer timer.Stop()
+			_, err := RunWithContext(ctx, g, src, Options{Policy: AlwaysBottomUp, Workers: 2}, ws)
+			return err
+		}, func(err error) bool { return err == nil || errors.Is(err, context.Canceled) }},
+		{"policy panic", func(ws *Workspace) error {
+			_, err := RunWith(g, src, Options{Policy: panicky, Workers: 2}, ws)
+			return err
+		}, func(err error) bool { var pe *PanicError; return errors.As(err, &pe) }},
+	}
+	ws := NewWorkspace(g.NumVertices())
+	for _, x := range exits {
+		base := runtime.NumGoroutine()
+		if err := x.run(ws); !x.want(err) {
+			t.Fatalf("%s: unexpected error %v", x.name, err)
+		}
+		if ws.team.helpers != 0 {
+			t.Fatalf("%s: Run returned with %d helpers in the workspace", x.name, ws.team.helpers)
+		}
+		settleGoroutines(t, x.name, base)
+		got, err := RunWith(g, src, Options{Policy: AlwaysBottomUp, Workers: 2}, ws)
+		if err != nil {
+			t.Fatalf("%s: reuse: %v", x.name, err)
+		}
+		sameTraversal(t, x.name+" (reuse)", want, got)
+	}
+}
+
 // TestRecycledWorkspaceBitIdentical pins the strongest form of the
 // pool-hygiene contract: with a deterministic (Workers: 1) engine, a
 // workspace recycled after a mid-traversal cancel produces a Result
@@ -216,32 +282,43 @@ func TestPolicyPanicContained(t *testing.T) {
 }
 
 // TestParallelGrainsWorkerPanic checks panic containment inside the
-// worker pool itself: a panicking grain function must come back as a
-// *PanicError from the coordinating call, with every worker exited.
+// worker team itself: a panicking grain, on a helper or on the caller,
+// comes back as a *PanicError from the coordinating call, the same team
+// then runs a full level correctly, and stopping it leaves no helper
+// behind.
 func TestParallelGrainsWorkerPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{1, 4} {
-		err := parallelGrains(context.Background(), 1000, 16, workers, func(_, start, _ int) {
-			if start >= 500 {
-				panic(fmt.Sprintf("grain kaboom at %d", start))
+		var tm team
+		for _, panicOn := range []int{1, 0} {
+			err := parallelGrains(context.Background(), &tm, 1000, 16, workers, func(worker, start, _ int) {
+				if worker == panicOn || start >= 500 {
+					panic(fmt.Sprintf("grain kaboom at %d on worker %d", start, worker))
+				}
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("workers=%d: err = %v (%T), want *PanicError", workers, err, err)
 			}
-		})
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v (%T), want *PanicError", workers, err, err)
+			counts, _ := coverageOf(&tm, 1000, 16, workers)
+			exactlyOnce(t, fmt.Sprintf("workers=%d: after a panic on worker %d", workers, panicOn), counts)
 		}
+		tm.stop()
 		settleGoroutines(t, fmt.Sprintf("parallelGrains workers=%d", workers), base)
 	}
 }
 
 // TestParallelGrainsCancelStopsClaims checks the grain-boundary
-// cancellation point: after cancel, workers stop claiming new grains.
+// cancellation point: after cancel, workers stop claiming new grains,
+// and the team then runs a full level correctly.
 func TestParallelGrainsCancelStopsClaims(t *testing.T) {
+	base := runtime.NumGoroutine()
 	// Single worker: deterministic — the grain after the cancelling one
 	// is never run.
+	var tm team
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	err := parallelGrains(ctx, 1000, 10, 1, func(_, _, _ int) {
+	err := parallelGrains(ctx, &tm, 1000, 10, 1, func(_, _, _ int) {
 		if calls.Add(1) == 1 {
 			cancel()
 		}
@@ -253,13 +330,14 @@ func TestParallelGrainsCancelStopsClaims(t *testing.T) {
 		t.Fatalf("workers=1: %d grains ran after cancel-on-first, want 1", n)
 	}
 
-	// Multi worker: each in-flight worker may finish its current grain,
-	// but the bulk of the range must be abandoned.
+	// Multi worker, cancelled in the middle of the level: each in-flight
+	// worker may finish its current grain, but the bulk of the range
+	// must be abandoned.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	const totalGrains = 100000 / 16
 	var calls2 atomic.Int64
-	err = parallelGrains(ctx2, 100000, 16, 8, func(_, _, _ int) {
-		if calls2.Add(1) == 1 {
+	err = parallelGrains(ctx2, &tm, 100000, 16, 8, func(_, _, _ int) {
+		if calls2.Add(1) == 10 {
 			cancel2()
 		}
 	})
@@ -267,8 +345,12 @@ func TestParallelGrainsCancelStopsClaims(t *testing.T) {
 		t.Fatalf("workers=8: err = %v, want context.Canceled", err)
 	}
 	if n := calls2.Load(); n > totalGrains/2 {
-		t.Fatalf("workers=8: %d of %d grains ran after early cancel", n, totalGrains)
+		t.Fatalf("workers=8: %d of %d grains ran after a cancel at the 10th", n, totalGrains)
 	}
+	counts, _ := coverageOf(&tm, 100000, 16, 8)
+	exactlyOnce(t, "after cancel", counts)
+	tm.stop()
+	settleGoroutines(t, "team after cancel", base)
 }
 
 // TestRunManyContextCancellation cancels a batch partway through and

@@ -38,14 +38,36 @@ func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visi
 	if totalEdges == 0 {
 		return out, nil
 	}
-	nworkers := resolveWorkers(workers, int(totalEdges/epGrain)+1)
+	_, nworkers := fanOut(int(totalEdges), epGrain, workers)
 	if nworkers == 1 {
 		return topDownLevelSerial(g, r, visited, queue, out, level), nil
 	}
+	a := &ws.lvl
+	a.g, a.r, a.visited, a.queue, a.prefix, a.level = g, r, visited, queue, prefix, level
+	a.locals = ws.workerShards(nworkers)
+	if a.ep == nil {
+		a.buildEdgeParallel()
+	}
+	if err := parallelGrains(ctx, &ws.team, int(totalEdges), epGrain, nworkers, a.ep); err != nil {
+		return nil, err
+	}
+	for _, l := range a.locals {
+		out = append(out, l...)
+	}
+	return out, nil
+}
 
-	locals := ws.workerShards(nworkers)
-	err := parallelGrains(ctx, int(totalEdges), epGrain, nworkers, func(worker, start, end int) {
-		local := locals[worker]
+// buildEdgeParallel builds the edge-parallel grain body: the grain is a
+// range of the frontier's concatenated adjacency lists, walked from the
+// first frontier vertex whose list intersects it.
+//
+// It stays out of line; see levelArgs.
+//
+//go:noinline
+func (a *levelArgs) buildEdgeParallel() {
+	a.ep = func(worker, start, end int) {
+		g, visited, queue, prefix, level := a.g, a.visited, a.queue, a.prefix, a.level
+		local := a.locals[worker]
 		// First frontier vertex whose edge range intersects [start, end).
 		//lint:alloc-ok one predicate closure per grain, amortised over the grain's whole edge range
 		qi := sort.Search(len(queue), func(i int) bool { return prefix[i+1] > int64(start) })
@@ -58,24 +80,16 @@ func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visi
 					continue
 				}
 				if visited.SetAtomic(int(v)) {
-					r.Parent[v] = u
-					r.Level[v] = level
+					a.r.Parent[v] = u
+					a.r.Level[v] = level
 					local = append(local, v)
 				}
 			}
 			pos = prefix[qi+1]
 			qi++
 		}
-		locals[worker] = local
-	})
-	if err != nil {
-		return nil, err
+		a.locals[worker] = local
 	}
-
-	for _, l := range locals {
-		out = append(out, l...)
-	}
-	return out, nil
 }
 
 func min64(a, b int64) int64 {
@@ -124,6 +138,7 @@ func (e edgeParallelEngine) RunObserved(ctx context.Context, g *graph.CSR, sourc
 	if ws == nil {
 		ws = NewWorkspace(g.NumVertices())
 	}
+	defer ws.quiesce()
 	o = observeStart(rec, g, source, e.Name(), reusedWS)
 	r := ws.begin(g, source)
 	visited := ws.visited
@@ -149,15 +164,14 @@ func (e edgeParallelEngine) RunObserved(ctx context.Context, g *graph.CSR, sourc
 			return nil, err
 		}
 		if o.live {
-			grains := fe/epGrain + 1
-			nworkers := resolveWorkers(e.workers, int(grains))
+			grains, nworkers := fanOut(int(fe), epGrain, e.workers)
 			o.event(obs.Event{
 				Kind: obs.KindLevel, Step: level, Dir: obs.TopDown,
 				FrontierVertices: int64(len(queue)),
 				FrontierEdges:    fe,
 				Discovered:       int64(len(out)),
 				Unvisited:        unvisited,
-				Grains:           grains,
+				Grains:           int64(grains),
 				Workers:          int32(nworkers),
 				Wall:             stepStart,
 				WallDur:          time.Since(stepStart),

@@ -65,6 +65,73 @@ type countRecorder struct{ n int64 }
 
 func (c *countRecorder) Event(obs.Event) { c.n++ }
 
+// levelRecorder keeps a traversal's level events.
+type levelRecorder struct{ levels []obs.Event }
+
+func (l *levelRecorder) Event(e obs.Event) {
+	if e.Kind == obs.KindLevel {
+		l.levels = append(l.levels, e)
+	}
+}
+
+// fanned counts the levels that ran on more than one worker.
+func (l *levelRecorder) fanned() int {
+	n := 0
+	for _, e := range l.levels {
+		if e.Workers > 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLevelEventsReportFanOut checks that level events report the
+// fan-out the kernels ran, threshold included: every level of a small
+// lattice is below minFanGrains and reports one grain on one worker
+// even at Workers: 2, while a bottom-up level of a scale-16 R-MAT
+// (16 grains of buGrain vertices) reports its grains on the full team.
+func TestLevelEventsReportFanOut(t *testing.T) {
+	const workers = 2
+	lattice, err := graph.Lattice(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var small levelRecorder
+	if _, err := RunWith(lattice, 0, Options{Policy: MN{M: 64, N: 64}, Workers: workers, Recorder: &small}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(small.levels) < 100 {
+		t.Fatalf("lattice traversal emitted %d level events, want one per level (126)", len(small.levels))
+	}
+	for _, e := range small.levels {
+		if e.Workers != 1 || e.Grains != 1 {
+			t.Fatalf("lattice step %d (%d frontier vertices): Workers %d, Grains %d; want 1, 1 below the threshold",
+				e.Step, e.FrontierVertices, e.Workers, e.Grains)
+		}
+	}
+
+	g := testRMAT(t, 16, 8, 7)
+	var big levelRecorder
+	if _, err := RunWith(g, firstUsable(t, g), Options{Policy: MN{M: 64, N: 64}, Workers: workers, Recorder: &big}, nil); err != nil {
+		t.Fatal(err)
+	}
+	bottomUp := 0
+	for _, e := range big.levels {
+		if e.Dir != obs.BottomUp {
+			continue
+		}
+		bottomUp++
+		wantGrains := int64((g.NumVertices() + buGrain - 1) / buGrain)
+		if e.Workers != workers || e.Grains != wantGrains {
+			t.Errorf("R-MAT bottom-up step %d: Workers %d, Grains %d; want the team width %d over %d grains",
+				e.Step, e.Workers, e.Grains, workers, wantGrains)
+		}
+	}
+	if bottomUp == 0 {
+		t.Fatal("R-MAT traversal ran no bottom-up level")
+	}
+}
+
 // BenchmarkRunNopRecorder and BenchmarkRunLiveRecorder bracket the
 // cost of the telemetry seam on a pooled hybrid traversal: the Nop
 // variant must report 0 allocs/op, and the live variant shows what a

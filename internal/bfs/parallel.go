@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 )
 
 // PanicError wraps a panic recovered inside a traversal — a worker
@@ -51,97 +49,49 @@ func resolveWorkers(requested, workItems int) int {
 	return w
 }
 
+// fanOut is the one place a level's parallelism is decided. A level of
+// n items cut into grain-sized blocks fans out only when it has at least
+// minFanGrains blocks; below that it reports one grain on one worker,
+// and the kernels run their serial loop. Above it the level runs on
+// resolveWorkers(requested, blocks) workers. The kernels, parallelGrains
+// and the level events all call it, so telemetry reports the fan-out
+// that really ran.
+func fanOut(n, grain, requested int) (grains, workers int) {
+	grains = (n + grain - 1) / grain
+	if grains < minFanGrains {
+		return 1, 1
+	}
+	workers = resolveWorkers(requested, grains)
+	if workers == 1 {
+		return 1, 1
+	}
+	return grains, workers
+}
+
 // parallelGrains runs fn over [0, n) split into grain-sized blocks
 // claimed dynamically by workers — dynamic scheduling because R-MAT
 // frontiers have wildly skewed per-vertex work (a handful of hub
-// vertices own most edges).
+// vertices own most edges). The blocks run on t, the traversal's worker
+// team, as wide as fanOut allows: the caller alone (worker 0, in block
+// order) below the threshold, the caller plus helpers above it.
 //
 // Cancellation and containment contract: workers observe ctx between
 // grain claims, so a cancel is honored within one grain of work; a
-// panicking worker is recovered and surfaced as a *PanicError. In
-// both cases every worker goroutine has exited by the time
-// parallelGrains returns (the WaitGroup is unconditional), so callers
-// never leak goroutines and the caller's buffers are quiescent — safe
-// to reset and return to a pool.
+// panicking grain is recovered and surfaced as a *PanicError. In both
+// cases every helper that joined the level has left it by the time
+// parallelGrains returns, so the caller's buffers are quiescent — safe
+// to reset and return to a pool once the team is stopped.
 //
 // The first stop cause wins: ctx.Err() for cancellation, *PanicError
-// for a worker panic. fn must tolerate having processed only a prefix
+// for a grain panic. fn must tolerate having processed only a prefix
 // of the grains when an error is returned.
-func parallelGrains(ctx context.Context, n, grain, workers int, fn func(worker, start, end int)) (err error) {
+func parallelGrains(ctx context.Context, t *team, n, grain, workers int, fn func(worker, start, end int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	workers = resolveWorkers(workers, (n+grain-1)/grain)
-	done := ctx.Done()
-	if workers == 1 {
-		// Inline fast path: no goroutines, but the same per-grain
-		// cancellation points and panic containment as the fan-out path.
-		defer func() { recoverToError(recover(), &err) }()
-		for start := 0; start < n; start += grain {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			end := start + grain
-			if end > n {
-				end = n
-			}
-			fn(0, start, end)
-		}
-		return nil
-	}
-
-	var (
-		cursor   atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(e error) {
-		errOnce.Do(func() { firstErr = e })
-		stop.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// A panic in fn must not escape the goroutine (it would
-			// kill the process); convert it to the traversal's error
-			// and stop the other workers at their next grain claim.
-			defer func() {
-				if v := recover(); v != nil {
-					var perr error
-					recoverToError(v, &perr)
-					fail(perr)
-				}
-			}()
-			for {
-				if stop.Load() {
-					return
-				}
-				select {
-				case <-done:
-					fail(ctx.Err())
-					return
-				default:
-				}
-				start := int(cursor.Add(int64(grain))) - grain
-				if start >= n {
-					return
-				}
-				end := start + grain
-				if end > n {
-					end = n
-				}
-				fn(worker, start, end)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
+	_, w := fanOut(n, grain, workers)
+	return t.run(ctx, n, grain, w, fn)
 }

@@ -228,6 +228,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 	if ws == nil {
 		ws = NewWorkspace(g.NumVertices())
 	}
+	defer ws.quiesce()
 	o = observeStart(opts.Recorder, g, source, opts.label(), reusedWS)
 	needEdges = needEdges || o.live
 
@@ -249,8 +250,9 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 
 	for frontierVertices > 0 {
 		// Level-boundary cancellation point: between two expansion
-		// steps no kernel goroutine is alive, so stopping here leaves
-		// the workspace quiescent for its next begin().
+		// steps no helper is inside a level, and the deferred quiesce
+		// joins the team, so stopping here leaves the workspace
+		// quiescent for its next begin().
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -307,7 +309,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 			}
 			next.Reset()
 			var err error
-			foundCount, scanCount, err = bottomUpLevel(ctx, g, r, visited, front, next, level, opts.Workers)
+			foundCount, scanCount, err = bottomUpLevel(ctx, g, r, visited, front, next, level, opts.Workers, ws)
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package bfs
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"crossbfs/internal/bitmap"
 	"crossbfs/internal/graph"
@@ -11,8 +12,9 @@ import (
 // Workspace holds every per-traversal buffer a BFS engine needs:
 // the result's parent/level maps, the direction and scan logs, both
 // frontier queues, the per-worker output shards of the parallel
-// top-down kernels, the edge-parallel degree prefix sum, and the
-// visited/frontier/next bitmaps. Reusing one Workspace across
+// top-down kernels, the edge-parallel degree prefix sum, the
+// visited/frontier/next bitmaps, and the worker team that runs the
+// levels large enough to fan out. Reusing one Workspace across
 // traversals turns the entire working set into a reset, not a
 // reallocation — the first-order optimization for repeated-traversal
 // workloads (the Graph 500 64-root runner, the tuner's labelling
@@ -58,6 +60,36 @@ type Workspace struct {
 	visited *bitmap.Bitmap
 	front   *bitmap.Bitmap
 	next    *bitmap.Bitmap
+
+	// The parallel kernels' worker team and the inputs of the level it
+	// is running.
+	team team
+	lvl  levelArgs
+}
+
+// levelArgs carries the current level's inputs to the parallel
+// kernels' grain bodies. Each body is built once per workspace,
+// captures only its levelArgs and reads the level through it, so a
+// level that fans out allocates nothing. The builders are go:noinline:
+// inlined into a kernel, the compiler clones the closure without
+// inlining the bitmap reads inside it, which made the parallel
+// bottom-up level about 30% slower.
+type levelArgs struct {
+	g       *graph.CSR
+	r       *Result
+	visited *bitmap.Bitmap
+	front   *bitmap.Bitmap
+	next    *bitmap.Bitmap
+	queue   []int32
+	prefix  []int64
+	locals  [][]int32
+	level   int32
+
+	// Bottom-up reductions across workers.
+	found, scans atomic.Int64
+
+	// Grain bodies: top-down, bottom-up, edge-parallel.
+	td, bu, ep func(worker, start, end int)
 }
 
 // NewWorkspace returns a workspace prepared for graphs of up to n
@@ -125,6 +157,15 @@ func (w *Workspace) retain(r *Result, queue, spare []int32) {
 	w.exchanges = r.Exchanges
 	w.queue = queue
 	w.spare = spare
+}
+
+// quiesce ends a traversal's use of the workspace: it joins the worker
+// team and drops the last level's reference to the caller's graph, so a
+// workspace between traversals holds neither a goroutine nor a graph.
+// Every engine that fans out defers it.
+func (w *Workspace) quiesce() {
+	w.team.stop()
+	w.lvl.g = nil
 }
 
 // workerShards returns k per-worker output slices, each truncated to

@@ -161,7 +161,8 @@ func TestWorkspacePoolSizeClasses(t *testing.T) {
 // TestRunAllocsSteadyState is the acceptance gate for pooling: after
 // warmup, a hybrid traversal of the SCALE-12 R-MAT graph through a
 // reused workspace must allocate ~nothing — at least a 95% reduction
-// against the fresh-buffers path.
+// against the fresh-buffers path — and a parallel traversal allocates
+// only its helper goroutines.
 func TestRunAllocsSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement on a scale-12 graph")
@@ -195,5 +196,52 @@ func TestRunAllocsSteadyState(t *testing.T) {
 	}
 	if pooled > 4 {
 		t.Errorf("pooled traversal allocates %.0f objects/run after warmup; want ~0", pooled)
+	}
+
+	// Workers: 2 on graphs whose levels really fan out: a bottom-up
+	// traversal of Lattice(256) from its centre fans out every one of
+	// its 256 levels, and the hybrid on a scale-16 R-MAT fans out its
+	// bottom-up levels.
+	// Starting the team's one helper costs an allocation per traversal;
+	// dispatching a level must cost none, so both graphs stay within the
+	// helper count however many levels they run.
+	const workers, helpers = 2, 1
+	lattice, err := graph.Lattice(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanned := []struct {
+		name   string
+		g      *graph.CSR
+		policy Policy
+	}{
+		{"lattice256/bottomup", lattice, AlwaysBottomUp},
+		{"rmat16/hybrid", testRMAT(t, 16, 8, 7), MN{M: 64, N: 64}},
+	}
+	for _, tc := range fanned {
+		src := int32(tc.g.NumVertices()/2 + 128) // the lattice's centre
+		if tc.g.Degree(src) == 0 {
+			src = firstUsable(t, tc.g)
+		}
+		ws := NewWorkspace(tc.g.NumVertices())
+		var rec levelRecorder
+		opts := Options{Policy: tc.policy, Workers: workers, Recorder: &rec}
+		if _, err := RunWith(tc.g, src, opts, ws); err != nil {
+			t.Fatal(err)
+		}
+		if rec.fanned() == 0 {
+			t.Fatalf("workers=2 %s: no level fanned out; the gate would measure the serial path", tc.name)
+		}
+		opts.Recorder = nil
+		run := func() {
+			if _, err := RunWith(tc.g, src, opts, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(1, run)
+		t.Logf("workers=2 %s: %.0f allocs per traversal, %d of %d levels fanned out", tc.name, allocs, rec.fanned(), len(rec.levels))
+		if allocs > helpers {
+			t.Errorf("workers=2 %s: %.0f allocs per traversal; want <= %d (one per helper)", tc.name, allocs, helpers)
+		}
 	}
 }

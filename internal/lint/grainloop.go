@@ -33,10 +33,8 @@ func runGrainLoop(pass *Pass) error {
 		if !isParallelRunner(name) {
 			return true
 		}
-		for _, arg := range call.Args {
-			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-				checkGrainCallback(pass, lit)
-			}
+		for _, lit := range callbackLits(pass, call) {
+			checkGrainCallback(pass, lit)
 		}
 		return true
 	})

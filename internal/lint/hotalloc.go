@@ -12,7 +12,8 @@ import (
 // benchmarks (BenchmarkRunNopRecorder, TestRunAllocsSteadyState) check
 // dynamically. The hot region is every function reachable, through the
 // package call graph, from a kernel grain loop (a function literal
-// passed to parallelGrains or a similarly named grain runner) or from
+// passed to parallelGrains or a similarly named grain runner, directly
+// or through the variable or field that stores it) or from
 // a function annotated //lint:hot. Inside it the analyzer flags the
 // operations that heap-allocate or otherwise do per-edge work the
 // kernels must not:
@@ -70,11 +71,9 @@ func runHotAlloc(pass *Pass) error {
 		if !isGrainRunner(name) {
 			return true
 		}
-		for _, arg := range call.Args {
-			if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-				if node := g.NodeFor(lit); node != nil {
-					roots = append(roots, root{node, "grain loop of " + name})
-				}
+		for _, lit := range callbackLits(pass, call) {
+			if node := g.NodeFor(lit); node != nil {
+				roots = append(roots, root{node, "grain loop of " + name})
 			}
 		}
 		return true

@@ -32,6 +32,55 @@ func capturedVar(pass *Pass, fn *ast.FuncLit, id *ast.Ident) (*types.Var, bool) 
 	return v, true
 }
 
+// callbackLits returns the function literals a call hands over as
+// callbacks: each literal argument, and, for an argument that names a
+// func-typed variable or struct field, every literal assigned to that
+// variable or field anywhere in the package. The second form covers
+// callbacks built once and stored — the bfs kernels keep their grain
+// bodies in a workspace field so a level allocates no closure — which
+// would otherwise escape every callback-based analyzer.
+func callbackLits(pass *Pass, call *ast.CallExpr) []*ast.FuncLit {
+	var out []*ast.FuncLit
+	for _, arg := range call.Args {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			out = append(out, lit)
+			continue
+		}
+		obj := namedObject(pass, arg)
+		if obj == nil {
+			continue
+		}
+		if _, ok := obj.Type().Underlying().(*types.Signature); !ok {
+			continue
+		}
+		inspectAll(pass, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || len(as.Lhs) != len(as.Rhs) {
+				return true
+			}
+			for i, lhs := range as.Lhs {
+				if lit, ok := ast.Unparen(as.Rhs[i]).(*ast.FuncLit); ok && namedObject(pass, lhs) == obj {
+					out = append(out, lit)
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// namedObject resolves an identifier or a selector (x.f) to the object
+// it names, or nil for any other expression.
+func namedObject(pass *Pass, e ast.Expr) types.Object {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return pass.ObjectOf(x)
+	case *ast.SelectorExpr:
+		return pass.ObjectOf(x.Sel)
+	}
+	return nil
+}
+
 // rootExpr descends through index, slice, star, paren, and selector
 // expressions to the base identifier of an lvalue, e.g. locals in
 // locals[worker] or r in r.Parent[v]. Returns nil if the base is not a

@@ -80,10 +80,8 @@ func goroutineClosures(pass *Pass) []*ast.FuncLit {
 		case *ast.CallExpr:
 			name, _ := calleeName(pass, x)
 			if isParallelRunner(name) {
-				for _, arg := range x.Args {
-					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-						add(lit)
-					}
+				for _, lit := range callbackLits(pass, x) {
+					add(lit)
 				}
 			}
 		}

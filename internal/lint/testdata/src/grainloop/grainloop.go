@@ -98,3 +98,16 @@ func goodAnnotated(degrees []int64) int64 {
 	})
 	return total
 }
+
+// badStoredAccumulator hands over a body stored in a local variable;
+// its captured accumulator races just the same.
+func badStoredAccumulator(degrees []int64) int64 {
+	var total int64
+	body := func(worker, start, end int) {
+		for _, d := range degrees[start:end] {
+			total += d // want `grain callback writes captured scalar "total"`
+		}
+	}
+	parallelGrains(len(degrees), 64, 4, body)
+	return total
+}

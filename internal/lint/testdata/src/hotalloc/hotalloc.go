@@ -221,3 +221,23 @@ func goodScatterFlat(frontier []int32, outboxes [][][]int32, owner func(int32) i
 		}
 	})
 }
+
+// storedBody is a grain body built once and kept in a field, the way
+// the bfs kernels avoid a closure per level. It is still a grain loop.
+type storedBody struct {
+	frontier []int32
+	body     func(worker, start, end int)
+}
+
+func (s *storedBody) build() {
+	s.body = func(worker, start, end int) {
+		for _, v := range s.frontier[start:end] {
+			tmp := make([]int32, v) // want `hot path \(grain loop of parallelGrains\): make allocates`
+			_ = tmp
+		}
+	}
+}
+
+func (s *storedBody) level() {
+	parallelGrains(len(s.frontier), 64, 4, s.body)
+}

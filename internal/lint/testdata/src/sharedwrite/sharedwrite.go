@@ -212,3 +212,23 @@ func goodOwnedRange(parent []int32, lo, hi []int, replica *bitmap) {
 	}
 	wg.Wait()
 }
+
+// storedBody is a grain body built once and kept in a field; its
+// captured container writes are policed like a literal argument's.
+type storedBody struct {
+	frontier []int32
+	out      []int32
+	body     func(worker, start, end int)
+}
+
+func (s *storedBody) build() {
+	s.body = func(worker, start, end int) {
+		for _, v := range s.frontier[start:end] {
+			s.out[v] = v // want `write to captured "s" inside a goroutine closure`
+		}
+	}
+}
+
+func (s *storedBody) level() {
+	parallelGrains(len(s.frontier), 64, 4, s.body)
+}

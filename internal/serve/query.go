@@ -218,7 +218,7 @@ func (s *Server) query(ctx context.Context, q Query, started time.Time) (*Respon
 func (s *Server) runMulti(ctx context.Context, sg *servedGraph, q Query, resp *Response) *Error {
 	resp.Results = make([]SourceResult, 0, len(q.Sources))
 	opts := bfs.ManyOptions{
-		Engine:      sg.engine,
+		Engine:      sg.batch,
 		Concurrency: 1,
 		Pool:        s.pool,
 		Recorder:    sg.rec,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,7 +116,8 @@ type GraphInfo struct {
 type servedGraph struct {
 	info    GraphInfo
 	g       *graph.CSR
-	engine  bfs.Engine
+	engine  bfs.Engine // single-root queries (reach, path, khop)
+	batch   bfs.Engine // multi queries
 	rec     obs.Recorder
 	queries [kindCount]*obs.Cell // crossbfs_graph_queries_total{graph,kind}
 }
@@ -241,6 +243,7 @@ func (s *Server) AddGraph(name, origin string, g *graph.CSR) error {
 		},
 		g:      g,
 		engine: e,
+		batch:  planBatch(e),
 		rec:    obs.Multi(s.sampler, rr),
 	}
 	qf := s.registry.Counter("crossbfs_graph_queries_total",
@@ -263,8 +266,14 @@ func (s *Server) AddGraph(name, origin string, g *graph.CSR) error {
 // partitioned engine at shardCutoff and above when the server is
 // configured with ranks, and the direction-optimizing hybrid at the
 // repo-wide default (M, N) everywhere else.
-// It also reports the rank count (1 for unsharded engines) so the
-// graph's labeled recorder can intern per-rank exchange cells.
+//
+// The engine it returns runs single-root queries, and its hybrid takes
+// its intra-query workers from admission concurrency: the slots already
+// run that many traversals at once, so each gets GOMAXPROCS/slots
+// workers — one at the default of one slot per core, where the
+// parallelism is across queries. It also reports the rank count (1 for
+// unsharded engines) so the graph's labeled recorder can intern
+// per-rank exchange cells.
 func (s *Server) planEngine(g *graph.CSR) (bfs.Engine, int) {
 	n := g.NumVertices()
 	switch {
@@ -273,8 +282,20 @@ func (s *Server) planEngine(g *graph.CSR) (bfs.Engine, int) {
 	case s.cfg.Shards > 1 && n >= shardCutoff:
 		return bfs.NewShardedEngine(s.cfg.Shards, bfs.DefaultM, bfs.DefaultN), s.cfg.Shards
 	default:
-		return bfs.DefaultEngine(), 1
+		workers := max(1, runtime.GOMAXPROCS(0)/cap(s.gate.slots))
+		return bfs.HybridEngine(bfs.DefaultM, bfs.DefaultN, workers), 1
 	}
+}
+
+// planBatch picks the engine for multi queries from the single-root
+// plan. A planned hybrid becomes bfs.DefaultEngine (Workers =
+// GOMAXPROCS), so the worker team splits a batch's large levels; the
+// serial and sharded plans serve both kinds.
+func planBatch(e bfs.Engine) bfs.Engine {
+	if e.Name() == bfs.DefaultEngine().Name() {
+		return bfs.DefaultEngine()
+	}
+	return e
 }
 
 // lookup resolves a query's graph: the named graph, or the sole

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -419,6 +421,67 @@ func TestPlanEngineCutoffs(t *testing.T) {
 	// Shards configured but graph below the cutoff: stay unsharded.
 	if name := planName(sharded, mid); name == "sharded(4,hybrid(64,64))" {
 		t.Errorf("scale-13 with shards planned the sharded engine; cutoff ignored")
+	}
+}
+
+// maxWorkersRecorder tracks the widest level each traversal ran, by
+// whether the traversal came from a multi query's RunMany dispatch.
+type maxWorkersRecorder struct {
+	mu          sync.Mutex
+	single, bat int32
+	batchIDs    map[uint64]bool
+}
+
+func (m *maxWorkersRecorder) Event(e obs.Event) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch e.Kind {
+	case obs.KindRootDispatch:
+		m.batchIDs[e.TraversalID] = true
+	case obs.KindLevel:
+		if m.batchIDs[e.TraversalID] {
+			m.bat = max(m.bat, e.Workers)
+		} else {
+			m.single = max(m.single, e.Workers)
+		}
+	}
+}
+
+// TestPlannerSizesIntraQueryWorkers checks the planner's split on a
+// graph whose bottom-up levels are big enough to fan out: single-root
+// queries run on GOMAXPROCS/slots workers (one at the default of one
+// slot per core), multi batches on GOMAXPROCS.
+func TestPlannerSizesIntraQueryWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		t.Skip("needs GOMAXPROCS >= 2 for a level to fan out")
+	}
+	g := mustRMAT(t, 16, 8, 1)
+	src := int32(0)
+	for g.Degree(src) == 0 {
+		src++
+	}
+	for _, tc := range []struct {
+		slots, single int
+	}{
+		{0, 1},     // default: one slot per core
+		{1, procs}, // one slot: the query has every core
+	} {
+		rec := &maxWorkersRecorder{batchIDs: map[uint64]bool{}}
+		s := newTestServer(t, Config{MaxConcurrent: tc.slots, SampleK: 1, Recorder: rec}, g)
+		if _, serr := s.Query(context.Background(), Query{Kind: KindReach, Source: src, Target: 2}); serr != nil {
+			t.Fatal(serr)
+		}
+		if _, serr := s.Query(context.Background(), Query{Kind: KindMulti, Sources: []int32{src}}); serr != nil {
+			t.Fatal(serr)
+		}
+		s.Close()
+		rec.mu.Lock()
+		if int(rec.single) != tc.single || int(rec.bat) != procs {
+			t.Errorf("slots=%d: widest level ran on %d workers for reach and %d for multi; want %d and %d",
+				tc.slots, rec.single, rec.bat, tc.single, procs)
+		}
+		rec.mu.Unlock()
 	}
 }
 
