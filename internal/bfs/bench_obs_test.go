@@ -72,9 +72,11 @@ func BenchmarkRunManyRecorderOverhead(b *testing.B) {
 
 // Per-kernel × per-scale MTEPS for the perf-regression trajectory:
 // the paper's Fig. 4 / Table IV claims rest on these kernels, so
-// BENCH_<n>.json tracks each one at two scales. lattice/side512 is the
-// hybrid on a 512×512 grid from a corner: 1,023 small top-down levels,
-// so per-level dispatch cost shows up here first.
+// BENCH_<n>.json tracks each one at two scales. The SCALE 18 tier
+// (bottom-up and hybrid, skipped under -short) is the one whose
+// bitmaps and adjacency outgrow the private caches. lattice/side512 is
+// the hybrid on a 512×512 grid from a corner: 1,023 small top-down
+// levels, so per-level dispatch cost shows up here first.
 func BenchmarkKernelScales(b *testing.B) {
 	kernels := []struct {
 		name string
@@ -89,6 +91,15 @@ func BenchmarkKernelScales(b *testing.B) {
 		src := firstUsableB(b, g)
 		for _, k := range kernels {
 			b.Run(fmt.Sprintf("%s/scale%d", k.name, scale), func(b *testing.B) {
+				benchEngine(b, k.eng, g, src)
+			})
+		}
+	}
+	if !testing.Short() {
+		g := benchRMAT(b, 18, 16, 7)
+		src := firstUsableB(b, g)
+		for _, k := range kernels[1:] {
+			b.Run(fmt.Sprintf("%s/scale18", k.name), func(b *testing.B) {
 				benchEngine(b, k.eng, g, src)
 			})
 		}

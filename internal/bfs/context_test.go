@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"crossbfs/internal/graph"
 )
 
 // stepCancelCtx is a context that reports cancellation after a fixed
@@ -171,6 +173,57 @@ func TestRunJoinsTeamOnEveryExit(t *testing.T) {
 			t.Fatalf("%s: reuse: %v", x.name, err)
 		}
 		sameTraversal(t, x.name+" (reuse)", want, got)
+	}
+}
+
+// TestCancelInsideBottomUpLevel cancels a fanned-out bottom-up level
+// after three of its grains ran, so those grains' parent, level, next
+// and dead words are written and the rest are not. The workspace is
+// then reused on a graph in which the cancelled graph's edgeless
+// vertices have edges, and on the cancelled graph again: both must
+// match the serial reference.
+func TestCancelInsideBottomUpLevel(t *testing.T) {
+	n := minFanGrains*buGrain + 1000
+	a := holeyGraph(t, n, 3, 7, false)
+	b := holeyGraph(t, n, 3, 7, true)
+	opts := Options{Policy: AlwaysBottomUp, Workers: 2}
+	ws := NewWorkspace(n)
+	if _, err := RunWith(a, 1, opts, ws); err != nil { // builds the grain body
+		t.Fatal(err)
+	}
+	body := ws.lvl.bu
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var grains atomic.Int32
+	ws.lvl.bu = func(worker, start, end int) {
+		body(worker, start, end)
+		if grains.Add(1) == 3 {
+			cancel()
+		}
+	}
+	base := runtime.NumGoroutine()
+	_, err := RunWithContext(ctx, a, 1, opts, ws)
+	ws.lvl.bu = body
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if perLevel := int32((n + buGrain - 1) / buGrain); grains.Load() >= perLevel {
+		t.Fatalf("%d grains ran; the cancel did not land inside the first level of %d", grains.Load(), perLevel)
+	}
+	if ws.team.helpers != 0 {
+		t.Fatalf("Run returned with %d helpers in the workspace", ws.team.helpers)
+	}
+	settleGoroutines(t, "cancel inside a level", base)
+	for _, g := range []*graph.CSR{b, a} {
+		want, err := Serial(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RunWith(g, 1, opts, ws)
+		if err != nil {
+			t.Fatalf("reuse: %v", err)
+		}
+		checkBottomUpRun(t, "reuse after a cancel inside a level", g, want, got)
 	}
 }
 

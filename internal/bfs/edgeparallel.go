@@ -23,11 +23,12 @@ import (
 const epGrain = 2048
 
 // topDownLevelEdgeParallel expands one level top-down with
-// edge-parallel work division. Semantics match topDownLevel; the
+// edge-parallel work division. Semantics match topDownLevel; it also
+// returns the frontier's |E|cq, the total of its degree prefix sum. The
 // prefix-sum and shard buffers come from ws so the level loop stops
 // allocating once the traversal warms up. Cancellation is observed at
 // grain boundaries; on error the traversal must be abandoned.
-func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visited *bitmap.Bitmap, queue, out []int32, level int32, workers int, ws *Workspace) ([]int32, error) {
+func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visited *bitmap.Bitmap, queue, out []int32, level int32, workers int, ws *Workspace) ([]int32, int64, error) {
 	// Degree prefix sum over the frontier.
 	prefix := ws.prefixBuf(len(queue) + 1)
 	prefix[0] = 0
@@ -36,11 +37,11 @@ func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visi
 	}
 	totalEdges := prefix[len(queue)]
 	if totalEdges == 0 {
-		return out, nil
+		return out, 0, nil
 	}
 	_, nworkers := fanOut(int(totalEdges), epGrain, workers)
 	if nworkers == 1 {
-		return topDownLevelSerial(g, r, visited, queue, out, level), nil
+		return topDownLevelSerial(g, r, visited, queue, out, level), totalEdges, nil
 	}
 	a := &ws.lvl
 	a.g, a.r, a.visited, a.queue, a.prefix, a.level = g, r, visited, queue, prefix, level
@@ -49,12 +50,12 @@ func topDownLevelEdgeParallel(ctx context.Context, g *graph.CSR, r *Result, visi
 		a.buildEdgeParallel()
 	}
 	if err := parallelGrains(ctx, &ws.team, int(totalEdges), epGrain, nworkers, a.ep); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	for _, l := range a.locals {
 		out = append(out, l...)
 	}
-	return out, nil
+	return out, totalEdges, nil
 }
 
 // buildEdgeParallel builds the edge-parallel grain body: the grain is a
@@ -151,15 +152,11 @@ func (e edgeParallelEngine) RunObserved(ctx context.Context, g *graph.CSR, sourc
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var (
-			stepStart time.Time
-			fe        int64
-		)
+		var stepStart time.Time
 		if o.live {
 			stepStart = time.Now()
-			fe = frontierEdges(g, queue, nil, true)
 		}
-		out, err := topDownLevelEdgeParallel(ctx, g, r, visited, queue, spare[:0], level, e.workers, ws)
+		out, fe, err := topDownLevelEdgeParallel(ctx, g, r, visited, queue, spare[:0], level, e.workers, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -177,14 +174,15 @@ func (e edgeParallelEngine) RunObserved(ctx context.Context, g *graph.CSR, sourc
 				WallDur:          time.Since(stepStart),
 			})
 		}
+		r.TraversedEdges += fe
 		unvisited -= int64(len(out))
 		queue, spare = out, queue
 		r.Directions = append(r.Directions, TopDown)
 		r.StepScans = append(r.StepScans, 0)
 		level++
 	}
+	r.VisitedCount = int64(g.NumVertices()) - unvisited
 	ws.retain(r, queue, spare)
-	r.finish(g)
 	done = r
 	return r, nil
 }

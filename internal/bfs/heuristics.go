@@ -99,11 +99,6 @@ type HongHybrid struct {
 // published threshold.
 func NewHongHybrid() *HongHybrid { return &HongHybrid{Threshold: 0.03} }
 
-// NeedsFrontierEdges implements EdgeCountOptOut: the rule compares
-// only |V|cq against the threshold, so the runner can skip the
-// per-level degree pass.
-func (p *HongHybrid) NeedsFrontierEdges() bool { return false }
-
 // Choose implements Policy. A non-positive or NaN threshold (a
 // zero-value policy built without NewHongHybrid) falls back to the
 // published 3% rather than switching on the very first frontier.

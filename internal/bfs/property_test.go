@@ -38,7 +38,10 @@ func randomGraph(seed uint64) (*graph.CSR, int32, error) {
 
 // TestPropertyAllEnginesAgree: for arbitrary graphs, sources and
 // switching parameters, every engine produces the same level map as
-// the serial reference and passes Graph 500 validation.
+// the serial reference and passes Graph 500 validation, at Workers 1
+// and at a larger count. Each engine's VisitedCount and TraversedEdges,
+// which the level loops keep as they go, must equal an O(V) recount
+// from its level map.
 func TestPropertyAllEnginesAgree(t *testing.T) {
 	f := func(seed uint64, mRaw, nRaw uint16, workersRaw uint8) bool {
 		g, src, err := randomGraph(seed)
@@ -47,23 +50,30 @@ func TestPropertyAllEnginesAgree(t *testing.T) {
 		}
 		m := 1 + float64(mRaw%512)
 		n := 1 + float64(nRaw%512)
-		workers := int(workersRaw%4) + 1
 
 		want, err := Serial(g, src)
 		if err != nil {
 			return false
 		}
 		runs := []func() (*Result, error){
-			func() (*Result, error) { return RunTopDown(g, src, workers) },
-			func() (*Result, error) { return RunBottomUp(g, src, workers) },
-			func() (*Result, error) { return RunTopDownEdgeParallel(g, src, workers) },
-			func() (*Result, error) { return Hybrid(g, src, m, n, workers) },
+			func() (*Result, error) { return Serial(g, src) },
 			func() (*Result, error) {
-				return Run(g, src, Options{Policy: NewAlphaBeta(float64(1+mRaw%30), float64(1+nRaw%40)), Workers: workers})
+				return NewShardedEngine(1+int(workersRaw%4), m, n).Run(g, src, nil)
 			},
-			func() (*Result, error) {
-				return Run(g, src, Options{Policy: NewHongHybrid(), Workers: workers})
-			},
+		}
+		for _, workers := range []int{1, 2 + int(workersRaw%3)} {
+			runs = append(runs,
+				func() (*Result, error) { return RunTopDown(g, src, workers) },
+				func() (*Result, error) { return RunBottomUp(g, src, workers) },
+				func() (*Result, error) { return RunTopDownEdgeParallel(g, src, workers) },
+				func() (*Result, error) { return Hybrid(g, src, m, n, workers) },
+				func() (*Result, error) {
+					return Run(g, src, Options{Policy: NewAlphaBeta(float64(1+mRaw%30), float64(1+nRaw%40)), Workers: workers})
+				},
+				func() (*Result, error) {
+					return Run(g, src, Options{Policy: NewHongHybrid(), Workers: workers})
+				},
+			)
 		}
 		for _, run := range runs {
 			got, err := run()
@@ -81,7 +91,7 @@ func TestPropertyAllEnginesAgree(t *testing.T) {
 					return false
 				}
 			}
-			if got.VisitedCount != want.VisitedCount || got.TraversedEdges != want.TraversedEdges {
+			if visited, traversed := recount(g, got); got.VisitedCount != visited || got.TraversedEdges != traversed {
 				return false
 			}
 		}

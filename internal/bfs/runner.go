@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"crossbfs/internal/bitmap"
 	"crossbfs/internal/graph"
 	"crossbfs/internal/invariant"
 	"crossbfs/internal/obs"
@@ -22,8 +21,6 @@ type StepInfo struct {
 	// FrontierVertices is |V|cq, the current-queue vertex count.
 	FrontierVertices int64
 	// FrontierEdges is |E|cq, the sum of frontier vertex degrees.
-	// It is -1 when collection was skipped: the policy opted out via
-	// EdgeCountOptOut and no live recorder asked for it either.
 	FrontierEdges int64
 	// UnvisitedVertices counts vertices without a level yet.
 	UnvisitedVertices int64
@@ -43,27 +40,11 @@ type PolicyFunc func(StepInfo) Direction
 // Choose implements Policy.
 func (f PolicyFunc) Choose(s StepInfo) Direction { return f(s) }
 
-// EdgeCountOptOut is the optional interface a Policy implements to
-// decline the per-step |E|cq sum. Computing StepInfo.FrontierEdges
-// costs an O(|V|cq) degree pass per level; policies that never read it
-// (the fixed-direction baselines, Hong's vertex-count rule) return
-// false here and the runner skips the pass, leaving FrontierEdges at
-// -1 — unless a live telemetry recorder is attached, in which case the
-// sum is collected anyway because the per-level events carry it.
-// Policies without the method are assumed to need edges.
-type EdgeCountOptOut interface {
-	NeedsFrontierEdges() bool
-}
-
-// fixedPolicy always chooses one direction; it opts out of the |E|cq
-// computation it would never read.
+// fixedPolicy always chooses one direction.
 type fixedPolicy Direction
 
 // Choose implements Policy.
 func (p fixedPolicy) Choose(StepInfo) Direction { return Direction(p) }
-
-// NeedsFrontierEdges implements EdgeCountOptOut.
-func (p fixedPolicy) NeedsFrontierEdges() bool { return false }
 
 // AlwaysTopDown and AlwaysBottomUp are the single-direction baselines
 // (the paper's *TD and *BU columns).
@@ -218,19 +199,12 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 			return nil, err
 		}
 	}
-	// The |E|cq degree pass is opt-out (EdgeCountOptOut) but a live
-	// recorder re-enables it: the per-level events carry the count.
-	needEdges := true
-	if oo, ok := policy.(EdgeCountOptOut); ok {
-		needEdges = oo.NeedsFrontierEdges()
-	}
 	reusedWS := ws != nil
 	if ws == nil {
 		ws = NewWorkspace(g.NumVertices())
 	}
 	defer ws.quiesce()
 	o = observeStart(opts.Recorder, g, source, opts.label(), reusedWS)
-	needEdges = needEdges || o.live
 
 	n := g.NumVertices()
 	r := ws.begin(g, source)
@@ -243,6 +217,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 	next := ws.next                       // bottom-up scratch
 	queueValid := true
 	frontierVertices := int64(1)
+	frontierEdgeCount := g.Degree(source)
 	unvisited := int64(n) - 1
 	level := int32(1) // distance assigned by the upcoming step
 	totalEdges := g.NumEdges()
@@ -259,13 +234,10 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 		info := StepInfo{
 			Step:              int(level),
 			FrontierVertices:  frontierVertices,
-			FrontierEdges:     -1,
+			FrontierEdges:     frontierEdgeCount,
 			UnvisitedVertices: unvisited,
 			TotalVertices:     int64(n),
 			TotalEdges:        totalEdges,
-		}
-		if needEdges {
-			info.FrontierEdges = frontierEdges(g, queue, front, queueValid)
 		}
 		dir := policy.Choose(info)
 
@@ -281,7 +253,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 		}
 		prevDir = dir
 
-		var foundCount, scanCount int64
+		var foundCount, scanCount, nextEdges int64
 		switch dir {
 		case TopDown:
 			if !queueValid {
@@ -294,6 +266,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 			}
 			queue, spare = out, queue
 			foundCount = int64(len(queue))
+			nextEdges = queueEdges(g, queue)
 		case BottomUp:
 			if queueValid {
 				front.Reset()
@@ -309,7 +282,7 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 			}
 			next.Reset()
 			var err error
-			foundCount, scanCount, err = bottomUpLevel(ctx, g, r, visited, front, next, level, opts.Workers, ws)
+			foundCount, scanCount, nextEdges, err = bottomUpLevel(ctx, g, r, visited, front, next, level, opts.Workers, ws)
 			if err != nil {
 				return nil, err
 			}
@@ -343,10 +316,13 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 				WallDur:          time.Since(stepStart),
 			})
 		}
+		r.TraversedEdges += info.FrontierEdges
 		frontierVertices = foundCount
+		frontierEdgeCount = nextEdges
 		unvisited -= foundCount
 		level++
 	}
+	r.VisitedCount = int64(n) - unvisited
 
 	if opts.CheckInvariants {
 		if err := invariant.Check(g, source, r.Parent, r.Level); err != nil {
@@ -354,7 +330,6 @@ func RunWithContext(ctx context.Context, g *graph.CSR, source int32, opts Option
 		}
 	}
 	ws.retain(r, queue, spare)
-	r.finish(g)
 	done = r
 	return r, nil
 }
@@ -367,16 +342,12 @@ func (o Options) label() string {
 	return "policy"
 }
 
-// frontierEdges computes |E|cq for the active representation.
-func frontierEdges(g *graph.CSR, queue []int32, front *bitmap.Bitmap, queueValid bool) int64 {
+// queueEdges is |E|cq of a frontier held as a queue.
+func queueEdges(g *graph.CSR, queue []int32) int64 {
 	var sum int64
-	if queueValid {
-		for _, v := range queue {
-			sum += g.Degree(v)
-		}
-		return sum
+	for _, v := range queue {
+		sum += g.Degree(v)
 	}
-	front.Range(func(v int) { sum += g.Degree(int32(v)) })
 	return sum
 }
 

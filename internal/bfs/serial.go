@@ -62,8 +62,11 @@ func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int3
 			stepStart = time.Now()
 		}
 		nq = nq[:0]
+		var frontierEdges int64
 		for _, u := range cq {
-			for _, v := range g.Neighbors(u) {
+			nbrs := g.Neighbors(u)
+			frontierEdges += int64(len(nbrs))
+			for _, v := range nbrs {
 				if r.Parent[v] == NotVisited {
 					r.Parent[v] = u
 					r.Level[v] = r.Level[u] + 1
@@ -77,7 +80,7 @@ func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int3
 			o.event(obs.Event{
 				Kind: obs.KindLevel, Step: step, Dir: obs.TopDown,
 				FrontierVertices: int64(len(cq)),
-				FrontierEdges:    frontierEdges(g, cq, nil, true),
+				FrontierEdges:    frontierEdges,
 				Discovered:       int64(len(nq)),
 				Unvisited:        unvisited,
 				Grains:           1,
@@ -86,12 +89,13 @@ func (e serialEngine) RunObserved(ctx context.Context, g *graph.CSR, source int3
 				WallDur:          time.Since(stepStart),
 			})
 		}
+		r.TraversedEdges += frontierEdges
 		unvisited -= int64(len(nq))
 		step++
 		cq, nq = nq, cq
 	}
+	r.VisitedCount = int64(g.NumVertices()) - unvisited
 	ws.retain(r, cq, nq)
-	r.finish(g)
 	done = r
 	return r, nil
 }

@@ -183,19 +183,13 @@ func (e *Sharded) RunObserved(ctx context.Context, g *graph.CSR, source int32, w
 	}
 	o = observeStart(rec, g, source, e.name, reusedWS)
 
-	needEdges := true
-	if oo, ok := pol.(EdgeCountOptOut); ok {
-		needEdges = oo.NeedsFrontierEdges()
-	}
-	needEdges = needEdges || o.live
-
 	r := ws.begin(g, source)
 	ws.visited.Set(int(source))
 
 	c := &shardedRun{
 		g: g, p: p, res: r, visited: ws.visited,
-		policy: pol, needEdges: needEdges,
-		ctx: ctx, o: &o, ranks: e.ranks, source: source,
+		policy: pol,
+		ctx:    ctx, o: &o, ranks: e.ranks, source: source,
 		outboxes: make([][][]int32, e.ranks),
 		deltas:   make([][]byte, e.ranks),
 		prevDir:  Direction(-1),
@@ -300,16 +294,15 @@ func putRankState(rs *rankState) { rankStatePool.Put(rs) }
 // shardedRun is the shared state of one sharded traversal: the global
 // result arrays, the cross-rank exchange slots, and the collective.
 type shardedRun struct {
-	g         *graph.CSR
-	p         *part.Partitioned
-	res       *Result
-	visited   *bitmap.Bitmap
-	policy    Policy
-	needEdges bool
-	ctx       context.Context
-	o         *tobs
-	ranks     int
-	source    int32
+	g       *graph.CSR
+	p       *part.Partitioned
+	res     *Result
+	visited *bitmap.Bitmap
+	policy  Policy
+	ctx     context.Context
+	o       *tobs
+	ranks   int
+	source  int32
 
 	// Exchange slots, indexed by source rank. A rank writes only its
 	// own slot before the exchange barrier and reads the others only
@@ -464,10 +457,8 @@ func (c *shardedRun) rankLoop(rank int, rs *rankState) {
 			return
 		}
 		var ecq int64
-		if c.needEdges {
-			for _, v := range queue {
-				ecq += sub.Degree(v - int32(lo))
-			}
+		for _, v := range queue {
+			ecq += sub.Degree(v - int32(lo))
 		}
 		dir, runDone, err := c.chooseRound(rank, 0, int64(len(queue)), ecq, unvisitedLocal, step)
 		if err != nil || runDone {
@@ -639,13 +630,10 @@ func (c *shardedRun) chooseRound(rank int, epoch uint64, vcq, ecq, unvisitedLoca
 		info := StepInfo{
 			Step:              int(step),
 			FrontierVertices:  c.vcq,
-			FrontierEdges:     -1,
+			FrontierEdges:     c.ecq,
 			UnvisitedVertices: c.unvisited,
 			TotalVertices:     int64(c.g.NumVertices()),
 			TotalEdges:        c.g.NumEdges(),
-		}
-		if c.needEdges {
-			info.FrontierEdges = c.ecq
 		}
 		c.dir = c.policy.Choose(info)
 		if c.o.live {

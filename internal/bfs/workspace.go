@@ -56,10 +56,14 @@ type Workspace struct {
 	prefix []int64
 
 	// visited is the claim bitmap; front/next are the bottom-up
-	// frontier representations.
+	// frontier representations. dead marks the edgeless vertices the
+	// bottom-up kernel has met this traversal; it is allocated at the
+	// first bottom-up level, so workspaces that never run one do not
+	// carry it.
 	visited *bitmap.Bitmap
 	front   *bitmap.Bitmap
 	next    *bitmap.Bitmap
+	dead    *bitmap.Bitmap
 
 	// The parallel kernels' worker team and the inputs of the level it
 	// is running.
@@ -78,6 +82,7 @@ type levelArgs struct {
 	g       *graph.CSR
 	r       *Result
 	visited *bitmap.Bitmap
+	dead    *bitmap.Bitmap
 	front   *bitmap.Bitmap
 	next    *bitmap.Bitmap
 	queue   []int32
@@ -86,7 +91,7 @@ type levelArgs struct {
 	level   int32
 
 	// Bottom-up reductions across workers.
-	found, scans atomic.Int64
+	found, scans, edges atomic.Int64
 
 	// Grain bodies: top-down, bottom-up, edge-parallel.
 	td, bu, ep func(worker, start, end int)
@@ -123,13 +128,26 @@ func (w *Workspace) ensure(n int) {
 		w.front.Resize(n)
 		w.next.Resize(n)
 	}
+	if w.dead != nil {
+		w.dead.Resize(n)
+	}
+}
+
+// deadMask returns the bottom-up kernel's edgeless-vertex mask,
+// allocating it on first use. begin clears it.
+func (w *Workspace) deadMask() *bitmap.Bitmap {
+	if w.dead == nil {
+		w.dead = bitmap.New(len(w.parent))
+	}
+	return w.dead
 }
 
 // begin resets the workspace for a traversal of g from source and
 // returns the result shell backed by the workspace's buffers. This is
 // the single reset point that guarantees pool hygiene: parent/level
-// are refilled with NotVisited, the bitmaps are cleared, and the logs
-// and queues are truncated, so no prior traversal state survives.
+// are refilled with NotVisited, the bitmaps (dead included) are
+// cleared, and the logs and queues are truncated, so no prior
+// traversal state survives.
 func (w *Workspace) begin(g *graph.CSR, source int32) *Result {
 	w.ensure(g.NumVertices())
 	for i := range w.parent {

@@ -267,19 +267,24 @@ func buildImplIndex(pass *Pass) *implIndex {
 	return idx
 }
 
-// resolveCall returns the graph nodes a call expression may invoke.
-func resolveCall(pass *Pass, g *CallGraph, impls *implIndex, call *ast.CallExpr) []*CGNode {
+// calledFunc returns the function or method a call expression names,
+// or nil for calls of func values, conversions and builtins.
+func calledFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		obj = pass.TypesInfo.Uses[fun]
 	case *ast.SelectorExpr:
 		obj = pass.TypesInfo.Uses[fun.Sel]
-	default:
-		return nil
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// resolveCall returns the graph nodes a call expression may invoke.
+func resolveCall(pass *Pass, g *CallGraph, impls *implIndex, call *ast.CallExpr) []*CGNode {
+	fn := calledFunc(pass, call)
+	if fn == nil {
 		return nil
 	}
 	// Interface dispatch: fan out to every local implementation.

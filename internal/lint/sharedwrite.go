@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -20,6 +21,15 @@ import (
 //   - it is annotated //lint:shared-ok with a human-reviewed rationale
 //     (the bottom-up kernel's pattern: vertex ranges are disjoint by
 //     construction, which no local analysis can prove).
+//
+// A closure that hands the work to a same-package function does not
+// hide it: the analyzer follows each direct call the closure makes
+// (resolved through the package call graph) and applies the same rules
+// to the callee's writes into containers reached through its
+// parameters or receiver, since those containers are the caller's
+// shared ones. A callee parameter that every such call passes the
+// closure's worker parameter counts as the worker index. Only that one
+// call level is followed.
 var SharedWrite = &Analyzer{
 	Name: "sharedwrite",
 	Doc: "flags unsynchronized writes to slices/maps captured by goroutine closures; " +
@@ -53,8 +63,45 @@ func isClaimCall(pass *Pass, call *ast.CallExpr) bool {
 }
 
 func runSharedWrite(pass *Pass) error {
-	for _, lit := range goroutineClosures(pass) {
+	lits := goroutineClosures(pass)
+	if len(lits) == 0 {
+		return nil
+	}
+	cg := BuildCallGraph(pass)
+	// The closures' direct callees, in first-call order, each with the
+	// argument positions at which every call passes the calling
+	// closure's worker parameter. Callees are checked once all calls
+	// have been seen.
+	var callees []*CGNode
+	shards := make(map[*CGNode]map[int]bool)
+	for _, lit := range lits {
 		checkClosureWrites(pass, lit)
+		ast.Inspect(lit.Body, func(n ast.Node) bool {
+			if _, nested := n.(*ast.FuncLit); nested {
+				return false // a nested literal's calls are its own
+			}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			node := cg.NodeForFunc(calledFunc(pass, call))
+			if node == nil {
+				return true
+			}
+			prev, seen := shards[node]
+			if !seen {
+				callees = append(callees, node)
+			}
+			shard := make(map[int]bool)
+			for i, arg := range call.Args {
+				shard[i] = isWorkerShardIndex(pass, lit, arg) && (!seen || prev[i])
+			}
+			shards[node] = shard
+			return true
+		})
+	}
+	for _, node := range callees {
+		checkCalleeWrites(pass, node, shards[node])
 	}
 	return nil
 }
@@ -93,15 +140,7 @@ func goroutineClosures(pass *Pass) []*ast.FuncLit {
 // checkClosureWrites reports unsafe container writes inside one
 // goroutine closure.
 func checkClosureWrites(pass *Pass, lit *ast.FuncLit) {
-	guarded := claimGuardedRanges(pass, lit)
-	inGuard := func(pos token.Pos) bool {
-		for _, r := range guarded {
-			if pos >= r[0] && pos <= r[1] {
-				return true
-			}
-		}
-		return false
-	}
+	inGuard := claimGuarded(pass, lit.Body)
 	report := func(lhs ast.Expr) {
 		id := rootExpr(lhs)
 		if id == nil {
@@ -131,7 +170,60 @@ func checkClosureWrites(pass *Pass, lit *ast.FuncLit) {
 			"write to captured %q inside a goroutine closure without an atomic claim or per-worker shard; "+
 				"synchronize it or annotate //lint:shared-ok with the invariant that makes it safe", id.Name)
 	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	forEachWrite(lit.Body, report)
+}
+
+// checkCalleeWrites reports unsafe container writes in a function that
+// a goroutine closure calls: indexed writes into a slice, map or array
+// reached through one of its parameters, its receiver, or a package
+// variable. Writes to the function's own locals are not shared, and a
+// write indexed by the parameter at a position in shard is a
+// per-worker shard.
+func checkCalleeWrites(pass *Pass, node *CGNode, shard map[int]bool) {
+	body := node.Body()
+	sig, ok := node.Func.Type().(*types.Signature)
+	if body == nil || !ok {
+		return
+	}
+	// params maps each parameter and the receiver to whether it is the
+	// caller's worker index.
+	params := make(map[types.Object]bool)
+	if sig.Recv() != nil {
+		params[sig.Recv()] = false
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		params[sig.Params().At(i)] = shard[i]
+	}
+	inGuard := claimGuarded(pass, body)
+	forEachWrite(body, func(lhs ast.Expr) {
+		idx, isIndex := ast.Unparen(lhs).(*ast.IndexExpr)
+		if !isIndex || !isSliceOrMap(pass.TypeOf(idx.X)) {
+			return
+		}
+		id := rootExpr(lhs)
+		if id == nil {
+			return
+		}
+		obj := pass.ObjectOf(id)
+		_, isParam := params[obj]
+		shared := isParam || (obj != nil && pass.Pkg != nil && obj.Parent() == pass.Pkg.Scope())
+		if !shared || inGuard(lhs.Pos()) {
+			return
+		}
+		if ix, ok := ast.Unparen(idx.Index).(*ast.Ident); ok && params[pass.ObjectOf(ix)] {
+			return
+		}
+		pass.Reportf(lhs.Pos(),
+			"write through %q in %s, which a goroutine closure calls, without an atomic claim; "+
+				"synchronize it or annotate //lint:shared-ok with the invariant that makes it safe",
+			id.Name, node.Name)
+	})
+}
+
+// forEachWrite calls report with the target of every assignment and
+// increment in body.
+func forEachWrite(body *ast.BlockStmt, report func(lhs ast.Expr)) {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
@@ -144,12 +236,12 @@ func checkClosureWrites(pass *Pass, lit *ast.FuncLit) {
 	})
 }
 
-// claimGuardedRanges returns the position ranges of if-bodies whose
-// condition wins an atomic claim: writes inside them have exclusive
-// ownership of the claimed slot.
-func claimGuardedRanges(pass *Pass, lit *ast.FuncLit) [][2]token.Pos {
-	var out [][2]token.Pos
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+// claimGuarded reports whether a position in body lies inside an
+// if-body whose condition wins an atomic claim: writes there have
+// exclusive ownership of the claimed slot.
+func claimGuarded(pass *Pass, body *ast.BlockStmt) func(token.Pos) bool {
+	var guarded [][2]token.Pos
+	ast.Inspect(body, func(n ast.Node) bool {
 		ifStmt, ok := n.(*ast.IfStmt)
 		if !ok {
 			return true
@@ -162,11 +254,18 @@ func claimGuardedRanges(pass *Pass, lit *ast.FuncLit) [][2]token.Pos {
 			return !hasClaim
 		})
 		if hasClaim {
-			out = append(out, [2]token.Pos{ifStmt.Body.Pos(), ifStmt.Body.End()})
+			guarded = append(guarded, [2]token.Pos{ifStmt.Body.Pos(), ifStmt.Body.End()})
 		}
 		return true
 	})
-	return out
+	return func(pos token.Pos) bool {
+		for _, r := range guarded {
+			if pos >= r[0] && pos <= r[1] {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // isWorkerShardIndex reports whether the index expression is the

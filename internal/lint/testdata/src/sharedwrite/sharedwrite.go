@@ -232,3 +232,58 @@ func (s *storedBody) build() {
 func (s *storedBody) level() {
 	parallelGrains(len(s.frontier), 64, 4, s.body)
 }
+
+// The cases below hand the grain's work to a same-package helper, the
+// shape of the bottom-up kernel: the helper's writes through its
+// parameters land in the closure's shared containers, so the analyzer
+// follows the call and checks them there.
+
+// scanRange writes the caller's parent and level maps through its
+// parameters. parent has no discipline the analyzer can see; level
+// carries the human-reviewed disjoint-range rationale.
+func scanRange(parent, level []int32, front *bitmap, lo, hi int) {
+	scratch := make([]int32, 1)
+	for v := lo; v < hi; v++ {
+		if front.Get(v) {
+			parent[v] = int32(v) // want `write through "parent" in scanRange, which a goroutine closure calls`
+			level[v] = 1         //lint:shared-ok v iterates the caller's disjoint [lo,hi) grain
+			scratch[0] = int32(v)
+		}
+	}
+}
+
+func helperGrains(parent, level []int32, front *bitmap) {
+	parallelGrains(len(parent), 64, 4, func(worker, start, end int) {
+		scanRange(parent, level, front, start, end)
+	})
+}
+
+// claimRange is the top-down idiom one call down: only the SetAtomic
+// winner writes.
+func claimRange(parent []int32, queue []int32, visited *bitmap) {
+	for _, u := range queue {
+		if visited.SetAtomic(int(u)) {
+			parent[u] = u
+		}
+	}
+}
+
+// appendShard indexes locals by the worker parameter its caller
+// passes, so the write is a per-worker shard.
+func appendShard(locals [][]int32, worker int, vs []int32) {
+	locals[worker] = append(locals[worker], vs...)
+}
+
+// appendShared indexes by a value that is not the caller's worker.
+func appendShared(locals [][]int32, slot int, vs []int32) {
+	locals[slot] = append(locals[slot], vs...) // want `write through "locals" in appendShared`
+}
+
+func helperDisciplines(parent []int32, queue []int32, visited *bitmap) {
+	locals := make([][]int32, 4)
+	parallelGrains(len(queue), 64, 4, func(worker, start, end int) {
+		claimRange(parent, queue[start:end], visited)
+		appendShard(locals, worker, queue[start:end])
+		appendShared(locals, 0, queue[start:end])
+	})
+}
